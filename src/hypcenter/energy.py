@@ -86,15 +86,7 @@ def energy_context(weight: RadialWeight, measure: AtomicMeasure) -> EnergyContex
     boundary = measure.boundary_mask
     sq_norms = np.einsum("ij,ij->i", locations, locations)
     # exact 1 - |y|^2 where the measure carries it (geodesic-polar atoms)
-    if measure.one_minus_sq is not None:
-        one_minus_sq = measure.one_minus_sq
-    else:
-        one_minus_sq = np.array(
-            [
-                0.0 if isbd else one_minus_sq_norm(loc)
-                for loc, isbd in zip(locations, boundary)
-            ]
-        )
+    one_minus_sq = measure.one_minus_sq_values
     sq_norms[boundary] = 1.0
     # G at the atom radii through the same batch path used at evaluation time,
     # so the interior kernel vanishes identically at x = 0
@@ -234,27 +226,15 @@ def kernel_K(ctx: EnergyContext, x: XLike, y: BallPoint) -> float:
         if sq < 1e-300:
             raise BusemannSingularity("kernel diverges at the antipode of y")
         return 0.5 * (math.log(sq) - math.log(omx))
-    yy = float(yp.coords @ yp.coords)
-    omy = one_minus_sq_norm(yp.coords)
-    batch = mobius_batch(
-        xv,
+    rows = (
         yp.coords[None, :],
-        np.array([yy]),
-        np.array([omy]),
+        np.array([float(yp.coords @ yp.coords)]),
+        np.array([one_minus_sq_norm(yp.coords)]),
         np.array([False]),
     )
-    zero = mobius_batch(
-        np.zeros(ctx.dimension),
-        yp.coords[None, :],
-        np.array([yy]),
-        np.array([omy]),
-        np.array([False]),
-    )
-    g_img = float(
-        eval_G_rs(ctx.weight, batch.radii, batch.arclengths, batch.one_minus_r2)[0]
-    )
-    g_y = float(
-        eval_G_rs(ctx.weight, zero.radii, zero.arclengths, zero.one_minus_r2)[0]
+    g_img, g_y = (
+        float(eval_G_rs(ctx.weight, b.radii, b.arclengths, b.one_minus_r2)[0])
+        for b in (mobius_batch(at, *rows) for at in (xv, np.zeros(ctx.dimension)))
     )
     return g_img - g_y
 

@@ -37,8 +37,8 @@ POLE_EPS = 1e-300
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def _square_exact(a: float) -> tuple[float, float]:
-    """a*a as an exact head/tail pair (Dekker's product)."""
+def _square_exact(a):
+    """a*a as an exact head/tail pair (Dekker's product); elementwise on arrays."""
     p = a * a
     c = _SPLIT * a
     hi = c - (c - a)
@@ -55,6 +55,13 @@ def one_minus_sq_norm(v: np.ndarray) -> float:
         terms.append(-p)
         terms.append(-e)
     return math.fsum(terms)
+
+
+def one_minus_sq_norms(locations: np.ndarray) -> np.ndarray:
+    """Row-wise one_minus_sq_norm: the same terms in the same order, fsum per row."""
+    p, e = _square_exact(locations)
+    pairs = np.stack([-p, -e], axis=2).reshape(len(p), -1).tolist()
+    return np.array([math.fsum([1.0, *row]) for row in pairs])
 
 
 class Locus(Enum):
@@ -229,10 +236,31 @@ def mobius_inverse(x: PointLike, y: PointLike) -> BallPoint:
     return mobius(BallPoint(-xp.coords, Locus.INTERIOR), y)
 
 
-def mobius_map(x: PointLike) -> Callable[[BallPoint], BallPoint]:
-    """The map y -> T_x(y), convenient for pushforwards."""
+ArrayMap = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def mobius_map(x: PointLike) -> ArrayMap:
+    """The array map (locations, boundary) -> (T_x images, boundary).
+
+    One mobius_batch pass; sphere images are renormalized and interior images
+    clamped inside the sphere as in mobius().
+    """
     xp = interior_point(point(x))
-    return lambda y: mobius(xp, y)
+
+    def apply(locations: np.ndarray, boundary: np.ndarray):
+        if locations.shape[1] != xp.dim:
+            raise DimensionMismatch(f"dim {xp.dim} vs {locations.shape[1]}")
+        omy = np.where(boundary, 0.0, one_minus_sq_norms(locations))
+        # |y|^2 and |img|^2 by stacked matmuls: the BLAS dot mobius() takes per row
+        sq = (locations[:, None, :] @ locations[:, :, None])[:, 0, 0]
+        img = mobius_batch(xp.coords, locations, sq, omy, boundary).images
+        nr = np.sqrt((img[:, None, :] @ img[:, :, None])[:, 0, 0])
+        img[boundary] /= nr[boundary, None]
+        over = ~boundary & (nr >= 1.0)
+        img[over] *= ((1.0 - 1e-16) / nr[over])[:, None]
+        return img, boundary.copy()
+
+    return apply
 
 
 def arclength_s(r: float) -> float:
@@ -391,9 +419,15 @@ def fold(h: Halfspace, y: PointLike) -> BallPoint:
     return reflect(h, yp)
 
 
-def fold_map(h: Halfspace) -> Callable[[BallPoint], BallPoint]:
-    """The map y -> fold(h, y), convenient for pushforwards."""
-    return lambda y: fold(h, y)
+def fold_map(h: Halfspace) -> ArrayMap:
+    """The array map (locations, boundary) -> fold images, applied row by row."""
+
+    def apply(locations: np.ndarray, boundary: np.ndarray):
+        loci = [Locus.BOUNDARY if b else Locus.INTERIOR for b in boundary.tolist()]
+        images = [fold(h, BallPoint(y, lc)).coords for y, lc in zip(locations, loci)]
+        return np.array(images), boundary.copy()  # fold rejects sphere atoms
+
+    return apply
 
 
 def translate_coords(x: np.ndarray, w: np.ndarray) -> np.ndarray:

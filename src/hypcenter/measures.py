@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from .errors import (
@@ -26,12 +28,15 @@ from .errors import (
     ZeroTotal,
 )
 from .geometry import (
+    BOUNDARY_SNAP_TOL,
+    ArrayMap,
     BallPoint,
     Geodesic,
     Locus,
     geodesic_through,
     on_geodesic,
     one_minus_sq_norm,
+    one_minus_sq_norms,
     point,
 )
 
@@ -83,19 +88,33 @@ class AtomicMeasure:
     def signed(self) -> bool:
         return bool(np.any(self.weights < 0.0))
 
-    @property
+    @cached_property
     def locations(self) -> np.ndarray:
-        return np.stack([p.coords for p in self.points])
+        return _read_only(np.stack([p.coords for p in self.points]))
 
-    @property
+    @cached_property
     def boundary_mask(self) -> np.ndarray:
-        return np.array([p.is_boundary for p in self.points])
+        return _read_only(np.array([p.is_boundary for p in self.points]))
+
+    @cached_property
+    def one_minus_sq_values(self) -> np.ndarray:
+        """Per-atom 1 - |y_i|^2: the exact datum where carried, else from coords."""
+        if self.one_minus_sq is not None:
+            return self.one_minus_sq
+        out = one_minus_sq_norms(self.locations)
+        out[self.boundary_mask] = 0.0
+        return _read_only(out)
 
     def atoms(self) -> Iterable[tuple[BallPoint, float]]:
         return zip(self.points, self.weights)
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _polar_point(spec: dict) -> tuple[BallPoint, float]:
@@ -147,15 +166,12 @@ def atomic_measure(
     (n,) = dims
     if dimension is not None and dimension != n:
         raise DimensionMismatch(f"atoms have dimension {n}, expected {dimension}")
-    one_minus_sq = None
+    measure = AtomicMeasure(tuple(pts), np.array(ws, dtype=float), n)
     if exact:
-        one_minus_sq = np.array([
-            exact[i] if i in exact
-            else 0.0 if p.is_boundary
-            else one_minus_sq_norm(p.coords)
-            for i, p in enumerate(pts)
-        ])
-    return AtomicMeasure(tuple(pts), np.array(ws, dtype=float), n, one_minus_sq)
+        one_minus_sq = measure.one_minus_sq_values.copy()
+        one_minus_sq[list(exact)] = list(exact.values())
+        measure = AtomicMeasure(measure.points, measure.weights, n, one_minus_sq)
+    return measure
 
 
 def delta(coords: Sequence[float], weight: float = 1.0) -> tuple[Sequence[float], float]:
@@ -178,28 +194,26 @@ class ValidationReport:
 def _aggregate(measure: AtomicMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge atoms co-located within CO_LOCATION_TOL.
 
+    Greedy in index order: each unmerged atom absorbs every later unmerged
+    atom within CO_LOCATION_TOL (k-d tree candidates, exact distance test)
+    whose exact 1 - |y|^2, where carried, agrees to relative CO_LOCATION_TOL.
     Returns (locations, weights, is_boundary) of the aggregated atoms; the
     result is invariant under permutation and under splitting an atom into
     co-located halves.
     """
     locs = measure.locations
-    ws = measure.weights
-    bd = measure.boundary_mask
-    m = len(ws)
-    assigned = np.full(m, -1, dtype=int)
-    reps: list[int] = []
-    for i in range(m):
-        if assigned[i] >= 0:
-            continue
-        close = np.linalg.norm(locs - locs[i], axis=1) <= CO_LOCATION_TOL
-        close &= assigned < 0
-        assigned[close] = len(reps)
-        reps.append(i)
-    k = len(reps)
-    agg_w = np.zeros(k)
-    for i in range(m):
-        agg_w[assigned[i]] += ws[i]
-    return locs[reps], agg_w, bd[reps]
+    omy = measure.one_minus_sq
+    i, j = cKDTree(locs).query_pairs(2.0 * CO_LOCATION_TOL, output_type="ndarray").T
+    close = np.linalg.norm(locs[i] - locs[j], axis=1) <= CO_LOCATION_TOL
+    if omy is not None:
+        close &= np.abs(omy[i] - omy[j]) <= CO_LOCATION_TOL * np.maximum(omy[i], omy[j])
+    rep = np.arange(len(measure))
+    for a, b in sorted(zip(i[close].tolist(), j[close].tolist())):
+        if rep[a] == a and rep[b] == b:
+            rep[b] = a
+    reps = np.flatnonzero(rep == np.arange(len(measure)))
+    agg_w = np.bincount(np.searchsorted(reps, rep), measure.weights, len(reps))
+    return locs[reps], agg_w, measure.boundary_mask[reps]
 
 
 def validate(measure: AtomicMeasure) -> ValidationReport:
@@ -219,12 +233,10 @@ def validate(measure: AtomicMeasure) -> ValidationReport:
         max_radius = 1.0
     else:
         support = Support.COMPACT_INTERIOR
-        max_radius = max(p.r for p in measure.points)
+        max_radius = float(np.linalg.norm(measure.locations, axis=1).max())
 
     locs, agg_w, agg_bd = _aggregate(measure)
-    pointmass_ok = all(
-        w < 0.5 * total for w, isbd in zip(agg_w, agg_bd) if isbd
-    )
+    pointmass_ok = bool(np.all(agg_w[agg_bd] < 0.5 * total))
 
     geodesic_support, geo = _geodesic_support(measure, locs, agg_bd)
     return ValidationReport(
@@ -263,19 +275,23 @@ def _geodesic_support(
     return closure, geo
 
 
-def pushforward(
-    measure: AtomicMeasure, mapping: Callable[[BallPoint], BallPoint]
-) -> AtomicMeasure:
-    """Relocate atoms through a point map; weights and totals are untouched.
+def pushforward(measure: AtomicMeasure, mapping: ArrayMap) -> AtomicMeasure:
+    """Relocate atoms through an array map; weights and totals are untouched.
 
-    Images are Cartesian: any exact 1 - |y|^2 data of the source is dropped.
+    ``mapping(locations, boundary)`` takes the (m, n) atom coordinates and the
+    (m,) sphere mask and returns the images and their mask, row for row: finite
+    points of the closed ball, on the sphere where masked.  Images are
+    Cartesian: any exact 1 - |y|^2 data of the source is dropped.
     """
-    pts = tuple(mapping(p) for p in measure.points)
-    for p in pts:
-        if not isinstance(p, BallPoint):
-            raise DomainError("pushforward maps must return ball points")
-        if p.dim != measure.dimension:
-            raise DimensionMismatch("pushforward map changed the dimension")
+    images, bd = mapping(measure.locations, measure.boundary_mask)
+    images, bd = np.array(images, dtype=float), np.array(bd, dtype=bool)
+    if images.shape != measure.locations.shape or bd.shape != (len(measure),):
+        raise DimensionMismatch(f"pushforward images have shape {images.shape}")
+    r = np.linalg.norm(images, axis=1)  # NaN or inf rows fail both tests
+    if not np.all(np.where(bd, np.abs(r - 1.0) <= BOUNDARY_SNAP_TOL, r <= 1.0)):
+        raise DomainError("pushforward images must be finite points of the closed ball")
+    loci = [Locus.BOUNDARY if b else Locus.INTERIOR for b in bd.tolist()]
+    pts = tuple(BallPoint(y, lc) for y, lc in zip(images, loci))
     return AtomicMeasure(pts, measure.weights.copy(), measure.dimension)
 
 

@@ -40,7 +40,7 @@ from .geometry import (
     point,
     translate_coords,
 )
-from .measures import AtomicMeasure, GeodesicSupport, Support
+from .measures import CO_LOCATION_TOL, AtomicMeasure, GeodesicSupport, Support
 from .weights import Monotonicity
 
 ARMIJO_DECREASE = 1e-4
@@ -399,14 +399,21 @@ def multistart_probe(
 def measure_delta(base: AtomicMeasure, other: AtomicMeasure) -> float:
     """Total-variation-style distance between atom lists.
 
-    Atoms are matched by location (within 1e-12); the result sums |weight
-    difference| over matched locations plus |weight| of unmatched atoms.
+    Atoms are matched by location (rounded to 12 decimals) and, if either
+    measure carries exact 1 - |y|^2 data, by that datum to relative
+    CO_LOCATION_TOL.  The result sums |weight difference| over matched
+    locations plus |weight| of unmatched atoms.
     """
+    exact = base.one_minus_sq is not None or other.one_minus_sq is not None
     def keyed(mu: AtomicMeasure) -> dict:
+        keys = np.round(mu.locations, 12)
+        if exact:
+            with np.errstate(divide="ignore"):
+                log_omy = np.log(mu.one_minus_sq_values) / CO_LOCATION_TOL
+            keys = np.column_stack([keys, np.round(log_omy)])
         table: dict[tuple, float] = {}
-        for p, w in mu.atoms():
-            key = tuple(np.round(p.coords, 12))
-            table[key] = table.get(key, 0.0) + float(w)
+        for key, w in zip(map(tuple, keys.tolist()), mu.weights.tolist()):
+            table[key] = table.get(key, 0.0) + w
         return table
 
     a, b = keyed(base), keyed(other)

@@ -94,6 +94,21 @@ class TestPolarAtoms:
         ]
         assert ctx.one_minus_sq.tolist() == expected
 
+    def test_far_polar_atoms_stay_apart(self):
+        # tanh 16 and tanh 17 lie within 1e-12 of each other; their exact
+        # 1 - |y|^2 data differ by a factor of about 7
+        mu = ms.atomic_measure(
+            [({"dir": [1.0], "s": 16.0}, 1.0), ({"dir": [1.0], "s": 17.0}, 1.0)]
+        )
+        _, agg_w, _ = ms._aggregate(mu)
+        assert agg_w.tolist() == [1.0, 1.0]
+
+    def test_equal_polar_atoms_merge(self):
+        far = {"dir": [1.0], "s": 16.0}
+        mu = ms.atomic_measure([(far, 1.0), ([0.5], 1.0), (far, 2.0)])
+        _, agg_w, _ = ms._aggregate(mu)
+        assert agg_w.tolist() == [3.0, 1.0]
+
     def test_pushforward_drops_datum(self):
         mu = ms.atomic_measure([({"dir": [1.0], "s": 3.0}, 1.0)])
         out = ms.pushforward(mu, geo.mobius_map([0.2]))
@@ -163,12 +178,110 @@ class TestValidate:
         assert report.total == 0.0
 
 
+def _greedy_aggregate(measure):
+    """The original O(m^2) merge: one full distance pass per unmerged atom."""
+    locs = measure.locations
+    ws = measure.weights
+    bd = measure.boundary_mask
+    m = len(ws)
+    assigned = np.full(m, -1, dtype=int)
+    reps: list[int] = []
+    for i in range(m):
+        if assigned[i] >= 0:
+            continue
+        close = np.linalg.norm(locs - locs[i], axis=1) <= ms.CO_LOCATION_TOL
+        close &= assigned < 0
+        assigned[close] = len(reps)
+        reps.append(i)
+    agg_w = np.zeros(len(reps))
+    for i in range(m):
+        agg_w[assigned[i]] += ws[i]
+    return locs[reps], agg_w, bd[reps]
+
+
+class TestAggregate:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_greedy_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 1 + seed % 4, 300
+        dirs = rng.normal(size=(m, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        locs = dirs * np.tanh(rng.uniform(0.0, 3.0, m))[:, None]
+        locs[:30] = dirs[:30]  # sphere atoms
+        exact = locs[rng.integers(0, m, 40)]
+        near = locs[rng.integers(0, m, 40)]
+        near = near + rng.uniform(-1.0, 1.0, near.shape) * (1e-13 / math.sqrt(n))
+        # a chain 0.6e-12 apart: greedy order decides which links merge
+        chain = locs[30] + np.outer(np.arange(1, 4) * 0.6e-12, np.eye(n)[0])
+        all_locs = np.concatenate([locs, exact, near, chain])
+        order = rng.permutation(len(all_locs))
+        w = rng.uniform(0.2, 1.0, len(all_locs))
+        mu = ms.atomic_measure(list(zip(all_locs[order], w)))
+        got, want = ms._aggregate(mu), _greedy_aggregate(mu)
+        assert len(want[1]) < len(mu)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestPushforward:
     def test_identity_map(self):
-        mu = ms.atomic_measure([([0.1, 0.2], 1.0), ([0.3, -0.1], 2.0)])
-        out = ms.pushforward(mu, lambda p: p)
+        mu = ms.atomic_measure([([0.1, 0.2], 1.0), ([0.3, -0.1], 2.0), ([0.0, 1.0], 1.0)])
+        out = ms.pushforward(mu, lambda locs, bd: (locs, bd))
         assert out.total == mu.total
         np.testing.assert_array_equal(out.locations, mu.locations)
+        np.testing.assert_array_equal(out.boundary_mask, mu.boundary_mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mobius_map_matches_pointwise(self, n):
+        rng = np.random.default_rng(n)
+        dirs = rng.normal(size=(400, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        locs = dirs * np.tanh(rng.uniform(0.0, 3.0, 400))[:, None]
+        locs[:40] = dirs[:40]
+        mu = ms.atomic_measure([(y, 1.0) for y in locs])
+        eps = np.spacing(1.0)
+        for radius in (0.0, 0.05, 0.3, 0.6, 0.9):
+            x = rng.normal(size=n)
+            x *= radius / np.linalg.norm(x)
+            out = ms.pushforward(mu, geo.mobius_map(x))
+            ref = np.array([geo.mobius(x, p).coords for p in mu.points])
+            # the batch rounds x.y in a matrix-vector product, mobius() in a
+            # dot per point: 4 ulp plus that rounding difference, propagated
+            # through d T_x(y) / d(x.y), whose norm is below
+            # 2 (1 + 2|x|) / (1 - |x|)^2
+            spread = 2.0 * n * radius * (1.0 + 2.0 * radius) / (1.0 - radius) ** 2
+            assert np.abs(out.locations - ref).max() <= eps * (4.0 + spread)
+            np.testing.assert_array_equal(out.boundary_mask, mu.boundary_mask)
+            sphere = np.linalg.norm(out.locations[out.boundary_mask], axis=1)
+            assert np.abs(sphere - 1.0).max() <= 2.0 * eps
+            assert np.linalg.norm(out.locations[~out.boundary_mask], axis=1).max() < 1.0
+
+    def test_mobius_map_clamps_interior_overshoot(self):
+        # T_x of this far atom rounds past the sphere; like mobius(), the batch
+        # clamps the image back inside and keeps it interior
+        mu = ms.atomic_measure([({"dir": [1.0], "s": 18.3}, 1.0)])
+        out = ms.pushforward(mu, geo.mobius_map([0.3]))
+        assert not out.boundary_mask[0]
+        assert out.locations[0, 0] < 1.0
+        assert out.locations[0, 0] == geo.mobius([0.3], mu.points[0]).coords[0]
+
+    def test_wrong_shape_rejected(self):
+        mu = ms.atomic_measure([([0.1, 0.2], 1.0), ([0.3, -0.1], 2.0)])
+        with pytest.raises(DimensionMismatch):
+            ms.pushforward(mu, lambda locs, bd: (locs[:, :1], bd))
+        with pytest.raises(DimensionMismatch):
+            ms.pushforward(mu, lambda locs, bd: (locs[:1], bd[:1]))
+        with pytest.raises(DimensionMismatch):
+            ms.pushforward(mu, geo.mobius_map([0.1, 0.0, 0.0]))
+
+    def test_images_outside_ball_rejected(self):
+        mu = ms.atomic_measure([([0.1, 0.2], 1.0), ([0.0, 1.0], 2.0)])
+        with pytest.raises(DomainError):
+            ms.pushforward(mu, lambda locs, bd: (2.0 * locs, bd))
+        with pytest.raises(DomainError):
+            ms.pushforward(mu, lambda locs, bd: (locs * np.nan, bd))
+        with pytest.raises(DomainError):  # a sphere row moved off the sphere
+            ms.pushforward(mu, lambda locs, bd: (0.5 * locs, bd))
 
     def test_mobius_preserves_totals(self):
         mu = ms.atomic_measure([([0.1, 0.2], 1.5), ([0.3, -0.1], -0.5)])

@@ -317,3 +317,11 @@ def test_measure_delta():
     a = ms.atomic_measure([([0.1], 1.0), ([0.2], 2.0)])
     b = ms.atomic_measure([([0.1], 0.8), ([0.3], 0.5)])
     assert sv.measure_delta(a, b) == pytest.approx(0.2 + 2.0 + 0.5)
+
+
+def test_measure_delta_separates_far_polar_atoms():
+    # tanh 16 and tanh 17 round to the same 12-decimal coordinates
+    a = ms.atomic_measure([({"dir": [1.0], "s": 16.0}, 1.0)])
+    b = ms.atomic_measure([({"dir": [1.0], "s": 17.0}, 1.0)])
+    assert sv.measure_delta(a, b) == 2.0
+    assert sv.measure_delta(a, a) == 0.0
