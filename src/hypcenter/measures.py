@@ -34,7 +34,7 @@ from .geometry import (
     Geodesic,
     Locus,
     geodesic_through,
-    on_geodesic,
+    mobius_map,
     one_minus_sq_norm,
     one_minus_sq_norms,
     point,
@@ -269,9 +269,13 @@ def _geodesic_support(
         geo = geodesic_through(point(np.zeros(measure.dimension)), point(anchor))
         return closure, geo
     geo = geodesic_through(point(locs[0]), point(locs[1]))
-    for z in locs[2:]:
-        if not on_geodesic(geo, point(z), tol=GEODESIC_MEMBER_TOL):
-            return GeodesicSupport.NOT_IN_GEODESIC, None
+    # batched off_geodesic_residual; the third atom alone settles generic supports
+    for rows in (slice(2, 3), slice(3, None)):
+        if len(locs[rows]):
+            w, _ = mobius_map(-geo.base.coords)(locs[rows], bd[rows])
+            resid = np.linalg.norm(w - np.outer(w @ geo.dir, geo.dir), axis=1)
+            if not np.all(resid <= GEODESIC_MEMBER_TOL):
+                return GeodesicSupport.NOT_IN_GEODESIC, None
     return closure, geo
 
 

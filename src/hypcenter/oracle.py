@@ -3,7 +3,8 @@
 Everything here recomputes what it checks from geometry and weight primitives:
 finite differences of an atomwise energy (never the gradient code), grid scans
 with bisection for zeros of the field, second-difference convexity scans, the
-sphere-kernel cocycle identity, and the boundary-continuity limit.  Scans are
+sphere-kernel cocycle identity, the boundary-continuity limit, and adaptive
+quadrature of g against the closed-form antiderivatives G.  Scans are
 deterministic given their seed, which every report records.
 """
 
@@ -15,6 +16,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from scipy.integrate import quad
 
 from .energy import (
     EnergyContext,
@@ -25,8 +27,6 @@ from .energy import (
 )
 from .errors import DomainError
 from .geometry import (
-    BallPoint,
-    Locus,
     geodesic,
     geodesic_point,
     mobius,
@@ -34,7 +34,9 @@ from .geometry import (
     point,
 )
 from .measures import atomic_measure
-from .weights import RadialWeight, eval_G, identity, normalized_for_boundary
+from .weights import (
+    RadialWeight, eval_G, eval_G_rs, eval_g_rs, identity, normalized_for_boundary
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,8 @@ class OracleTolerances:
     zero_bisect_tol: float = 1e-12
     zero_flat_tol: float = 1e-13
     refine_tol: float = 1e-10
+    # quad's own accuracy (epsabs 1e-10, epsrel 1e-12) over s in [0, 8]
+    antiderivative_rel: float = 1e-9
 
 
 TOL = OracleTolerances()
@@ -71,6 +75,7 @@ class ScanKind(Enum):
     ZERO_SET_1D = "zero_set_1d"
     ZERO_SET_2D = "zero_set_2d"
     DISTANCE_CONVEXITY = "distance_convexity"
+    ANTIDERIVATIVE_CHECK = "antiderivative_check"
 
 
 @dataclass(frozen=True)
@@ -101,18 +106,28 @@ def _random_interior(rng: np.random.Generator, n: int, radius: float) -> np.ndar
     return v * radius * rng.uniform() ** (1.0 / n)
 
 
+def _G_at(weight: RadialWeight, z: float) -> float:
+    """G at half the Poincare distance, s = (1/2) arccosh(1 + z), where
+    r = tanh s = sqrt(z/(z + 2)) and 1 - r^2 = 2/(z + 2), without cancellation."""
+    s = 0.5 * math.log1p(z + math.sqrt(z * (z + 2.0)))
+    return float(eval_G_rs(weight, math.sqrt(z / (z + 2.0)), s, 2.0 / (z + 2.0)))
+
+
 def _atomwise_energy(ctx: EnergyContext, x: np.ndarray) -> float:
-    """Renormalized energy recomputed from geometry + weight primitives only."""
+    """Renormalized energy recomputed from geometry + weight primitives only;
+    interior terms take |T_x(y)| from the distance formula between -x and y
+    with the measure's own 1 - |y|^2 datum, so far atoms keep their arclength."""
     omx = one_minus_sq_norm(x)
-    xp = BallPoint(np.array(x, dtype=float), Locus.INTERIOR)
+    measure = ctx.measure
     terms = []
-    for p, w in ctx.measure.atoms():
+    for p, w, omy in zip(measure.points, measure.weights, measure.one_minus_sq_values):
+        diff = x + p.coords
+        sq = float(diff @ diff)
         if p.is_boundary:
-            diff = x + p.coords
-            val = 0.5 * math.log(float(diff @ diff) / omx)
+            val = 0.5 * math.log(sq / omx)
         else:
-            img = mobius(xp, p)
-            val = eval_G(ctx.weight, img.r) - eval_G(ctx.weight, p.r)
+            g_img = _G_at(ctx.weight, 2.0 * sq / (omx * omy))
+            val = g_img - _G_at(ctx.weight, 2.0 * float(p.coords @ p.coords) / omy)
         terms.append(float(w) * val)
     return math.fsum(terms)
 
@@ -388,6 +403,45 @@ def distance_convexity_check(
             f"origin-line worst |second difference| {line_worst:.3e}",
             f"arc closed-form worst relative error {arc_worst:.3e}",
         ),
+    )
+
+
+def _quad_G(weight: RadialWeight, s: float) -> float:
+    """G(tanh s) = int_0^s g(tanh u) du by adaptive quadrature in arclength,
+    which removes the 1/(1 - r^2) blow-up; kinks of g are breakpoints."""
+    p = weight.params
+    kinks = [1.0] if weight.kind == "min_r_arctanh_inv" else []
+    kinks += [row[0] for row in p.get("pieces", ())]  # clamped_arctanh, in s
+    # the plateau of clamped_linear and the knots of a table, in r
+    kinks += [math.atanh(r) for r in (p.get("c", 1.0), *p.get("r", ())) if r < 1.0]
+    val, _err = quad(
+        lambda u: float(eval_g_rs(weight, math.tanh(u), u)), 0.0, s,
+        points=[k for k in kinks if 0.0 < k < s] or None,
+        epsabs=1e-10, epsrel=1e-12, limit=200,
+    )
+    return val
+
+
+def antiderivative_check(
+    weight: RadialWeight, samples: int = 200, seed: int = 0, tol: OracleTolerances = TOL
+) -> ScanReport:
+    """eval_G_rs against quadrature of g at random arclengths in [0, 8], or up
+    to a table's last knot; errors are relative to max(|G|, 1), since quad's
+    floor is absolute."""
+    upper = math.atanh(min(weight.params.get("r", [1.0])[-1], math.tanh(8.0)))
+    arclengths = np.random.default_rng(seed).uniform(0.0, upper, size=samples).tolist()
+    refs = np.array([_quad_G(weight, s) for s in arclengths])
+    got = eval_G_rs(weight, np.tanh(arclengths), np.array(arclengths))
+    errs = np.abs(got - refs) / np.maximum(np.abs(refs), 1.0)
+    k = int(np.argmax(errs))
+    return ScanReport(
+        kind=ScanKind.ANTIDERIVATIVE_CHECK,
+        worst_case=float(errs[k]),
+        samples=samples,
+        passed=errs[k] < tol.antiderivative_rel,
+        tolerance=tol.antiderivative_rel,
+        seed=seed,
+        details=(f"{weight.kind}: worst at s={arclengths[k]!r}",),
     )
 
 

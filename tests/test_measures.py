@@ -153,6 +153,48 @@ class TestValidate:
         report = ms.validate(mu)
         assert report.geodesic_support is ms.GeodesicSupport.IN_GEODESIC_CLOSURE
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_geodesic_support_matches_pointwise(self, n):
+        # the batched membership test classifies as one on_geodesic per atom
+        def pointwise(locs, bd):
+            g = geo.geodesic_through(geo.point(locs[0]), geo.point(locs[1]))
+            for z in locs[2:]:
+                if not geo.on_geodesic(g, geo.point(z), tol=ms.GEODESIC_MEMBER_TOL):
+                    return ms.GeodesicSupport.NOT_IN_GEODESIC
+            return "on"
+
+        rng = np.random.default_rng(40 + n)
+        g = geo.geodesic(rng.uniform(-0.4, 0.4, n), rng.normal(size=n))
+        normal = rng.normal(size=n)
+        normal -= (normal @ g.dir) * g.dir
+        normal /= np.linalg.norm(normal)
+        ends = [geo.mobius(g.base, geo.point(sign * g.dir)).coords for sign in (1, -1)]
+
+        def chart(t, off=0.0):
+            return geo.mobius(g.base, geo.point(t * g.dir + off * normal)).coords
+
+        ts = rng.uniform(-0.95, 0.95, 30)
+        collinear = [chart(t) for t in ts]
+        sets = {
+            "collinear": collinear,
+            "collinear_sphere": [ends[0], *collinear, ends[1]],
+            "sphere_first": [ends[1], ends[0], *collinear],
+            "near_1e-9": [*collinear, chart(0.3, 1e-9)],
+            "near_1e-11": [*collinear, chart(0.3, 1e-11)],
+            "generic": [rng.uniform(-0.5, 0.5, n) for _ in range(30)],
+            "generic_sphere": [ends[0], *(rng.uniform(-0.5, 0.5, n) for _ in range(5))],
+        }
+        seen = set()
+        for name, pts in sets.items():
+            mu = ms.atomic_measure([(p, 1.0) for p in pts])
+            locs, _, bd = ms._aggregate(mu)
+            got, _ = ms._geodesic_support(mu, locs, bd)
+            want = pointwise(locs, bd)
+            on = got is not ms.GeodesicSupport.NOT_IN_GEODESIC
+            assert on == (want == "on"), name
+            seen.add(on)
+        assert seen == {True, False}
+
     def test_pointmass_aggregates_split_atoms(self):
         y = [0.6, 0.8]
         mu = ms.atomic_measure([(y, 0.3), (y, 0.3), ([0.0, 0.1], 0.4)])

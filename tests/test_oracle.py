@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypcenter import energy as en
+from hypcenter import fixtures
 from hypcenter import measures as ms
 from hypcenter import oracle as orc
 from hypcenter import weights as wt
@@ -140,6 +141,13 @@ class TestGradientCheck:
         assert report.passed, report
         assert report.worst_case < 1e-5
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_far_atoms(self, k):
+        # the escaping-mass atom sits at arclength k^2 (up to 16): the
+        # atomwise energy must keep its arclength from the exact datum
+        report = orc.gradient_check(fixtures.escaping_mass_context(k), samples=300)
+        assert report.passed, report
+
     def test_deterministic(self):
         a = orc.gradient_check(interior_ctx(), samples=50, seed=11)
         b = orc.gradient_check(interior_ctx(), samples=50, seed=11)
@@ -222,3 +230,41 @@ class TestDistanceConvexity:
         b = orc.distance_convexity_check(samples=10, seed=42)
         assert a.worst_case == b.worst_case
         assert a.details == b.details
+
+
+class TestAntiderivativeCheck:
+    WEIGHTS = {
+        "identity": wt.identity(),
+        "arctanh_power": wt.arctanh_power(3.0),
+        "min_r_arctanh_inv": wt.min_r_arctanh_inv(),
+        "clamped_linear": wt.clamped_linear(0.5),
+        "log_damped": wt.log_damped(),
+        "clamped_arctanh": staircase_weight(),
+        "table": wt.table(
+            [0.0, 0.25, 0.5, 0.75, 1.0],
+            [0.0, 0.2, 0.45, 0.7, 1.0],
+            monotonicity=wt.Monotonicity.STRICTLY_INCREASING,
+            divergent_G=True,
+        ),
+    }
+
+    def test_covers_every_kind(self):
+        assert set(self.WEIGHTS) == set(wt._FACTORIES)
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_closed_forms_match_quadrature(self, kind):
+        report = orc.antiderivative_check(self.WEIGHTS[kind], samples=100, seed=7)
+        assert report.passed, report
+
+    def test_partial_table_stays_in_range(self):
+        w = wt.table([0.0, 0.3, 0.6], [0.0, 0.4, 0.5])
+        report = orc.antiderivative_check(w, samples=50, seed=1)
+        assert report.passed, report
+
+    def test_detects_perturbed_antiderivative(self, monkeypatch):
+        # G off by 1e-8 relative, far inside quadrature's accuracy, must fail
+        def off(w, r, s, one_minus_r2=None):
+            return wt.eval_G_rs(w, r, s, one_minus_r2) * (1.0 + 1e-8)
+
+        monkeypatch.setattr(orc, "eval_G_rs", off)
+        assert not orc.antiderivative_check(wt.log_damped(), samples=20).passed

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -102,11 +104,9 @@ class TestEvalBigG:
 
     @pytest.mark.parametrize("name", sorted(ALL_WEIGHTS))
     def test_derivative_matches_g(self, name):
-        # centered difference of G matches g(r)/(1-r^2); quadrature-backed
-        # profiles use a wider step since their G carries ~1e-10 of quad error
+        # centered difference of G matches g(r)/(1-r^2)
         w = ALL_WEIGHTS[name]
-        closed_form = name not in ("log_damped", "table")
-        h, rtol = (1e-6, 1e-6) if closed_form else (1e-3, 1e-3)
+        h, rtol = 1e-6, 1e-6
         for r in np.linspace(0.01, 0.95, 12):
             fd = (wt.eval_G(w, r + h) - wt.eval_G(w, r - h)) / (2.0 * h)
             expected = wt.eval_g(w, r) / ((1.0 - r) * (1.0 + r))
@@ -140,6 +140,85 @@ class TestEvalBigG:
                 assert second > 1e-8
             else:
                 assert second >= -1e-8
+
+
+# 30-digit references for G, from mpmath at 40 digits:
+# python -c "import mpmath as mp; mp.mp.dps=40; f=lambda u: mp.tanh(u)/(2*u+mp.log1p(mp.exp(-2*u))); print([mp.nstr(mp.quad(f,[0,mp.mpf(s)]),30) for s in (1e-8,0.1,1.0,3.0,9.0,16.0,30.0)])"
+LOG_DAMPED_G = {
+    1e-8: 7.21347513506585167542757279623e-17,
+    0.1: 0.00655547875632550109308136018443,
+    1.0: 0.296903606109837100546261360197,
+    3.0: 0.793772854891551310164779020981,
+    9.0: 1.34269296823754167884544968306,
+    16.0: 1.63037503986446349276721185992,
+    30.0: 1.9446793695756501717136891971,
+}
+# python -c "import mpmath as mp; from scipy.interpolate import PchipInterpolator as P; mp.mp.dps=40; k=[0,.25,.5,.75,1]; p=P(k,[0,.2,.45,.7,1]); g=lambda i: lambda t: sum(mp.mpf(float(c))*(t-k[i])**(3-j) for j,c in enumerate(p.c[:,i]))/(1-t*t); G=lambda r: sum(mp.quad(g(i),[k[i],min(k[i+1],mp.mpf(r))]) for i in range(4) if k[i]<r); print([mp.nstr(G(r),30) for r in (1e-3,.25,.26,.5,.75,.9,1-1e-6)])"
+TABLE_G = {
+    1e-3: 3.50148278792679796355735931501e-7,
+    0.25: 0.0248129746894748492858861722455,
+    0.26: 0.0269999854601203327882125000592,
+    0.5: 0.121027568801997035960953473885,
+    0.75: 0.368509479542418261243226152411,
+    0.9: 0.766521513672863487115714048642,
+    1.0 - 1e-6: 6.4829157778318163897071673464,
+}
+
+
+def reference_table():
+    return wt.table(
+        [0.0, 0.25, 0.5, 0.75, 1.0],
+        [0.0, 0.2, 0.45, 0.7, 1.0],
+        monotonicity=wt.Monotonicity.STRICTLY_INCREASING,
+        divergent_G=True,
+    )
+
+
+def agrees(got, ref):
+    # 1e-13 relative, or 1e-17 absolute where G < 1e-4
+    return abs(got - ref) <= (1e-17 if ref < 1e-4 else 1e-13 * ref)
+
+
+class TestClosedFormG:
+    @pytest.mark.parametrize("s", sorted(LOG_DAMPED_G))
+    def test_log_damped_reference(self, s):
+        got = float(wt.eval_G_rs(wt.log_damped(), TANH(s), s))
+        assert agrees(got, LOG_DAMPED_G[s])
+
+    @pytest.mark.parametrize("r", sorted(TABLE_G))
+    def test_table_reference(self, r):
+        assert agrees(wt.eval_G(reference_table(), r), TABLE_G[r])
+
+    @pytest.mark.parametrize("knot", [0.25, 0.5, 0.75])
+    def test_table_continuous_across_knots(self, knot):
+        w = reference_table()
+        for r in (np.nextafter(knot, 0.0), knot, np.nextafter(knot, 1.0)):
+            assert agrees(wt.eval_G(w, r), TABLE_G[knot])
+
+    def test_table_scale_and_partial_cover(self):
+        # a table that stops short of the sphere, scaled: G scales with it
+        # and stays defined only up to the last knot
+        base = wt.table([0.0, 0.3, 0.6], [0.0, 0.4, 0.5])
+        scaled = wt.weight_from_config({**base.describe(), "scale": 3.0})
+        expected = 3.0 * wt.eval_G(base, 0.45)
+        assert wt.eval_G(scaled, 0.45) == pytest.approx(expected, rel=1e-15)
+        with pytest.raises(DomainError):
+            wt.eval_G(base, 0.7)
+
+    def test_no_quadrature_in_weights(self):
+        # G is closed form on the hot path; quadrature belongs to the oracle
+        source = inspect.getsource(wt)
+        assert "scipy.integrate" not in source
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [a.name for a in node.names]
+                assert not any("integrate" in m or m == "quad" for m in names)
+            if isinstance(node, ast.Name):
+                assert node.id != "quad"
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("quad", "integrate")
 
 
 class TestNormalization:
