@@ -95,16 +95,12 @@ def parse_measure(doc: Mapping):
     atoms = doc["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise SchemaError('"atoms" must be a nonempty list')
-    pairs = []
-    for entry in atoms:
-        if not isinstance(entry, dict) or "x" not in entry or "w" not in entry:
-            raise SchemaError('each atom needs "x" and "w"')
-        x = entry["x"]
-        if not isinstance(x, list) or len(x) != n:
-            raise SchemaError(f'atom coordinates must be lists of length {n}')
-        pairs.append((x, float(entry["w"])))
-    try:
-        return atomic_measure(pairs, dimension=n)
+    if not all(isinstance(e, dict) and "x" in e and "w" in e for e in atoms):
+        raise SchemaError('each atom needs "x" and "w"')
+    if not all(isinstance(e["x"], list) and len(e["x"]) == n for e in atoms):
+        raise SchemaError(f'atom coordinates must be lists of length {n}')
+    try:  # malformed numbers surface as DomainError
+        return atomic_measure([(e["x"], e["w"]) for e in atoms], dimension=n)
     except HypcenterError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -156,15 +152,9 @@ def build_context(doc: Mapping) -> EnergyContext:
 
 # -- report pieces ------------------------------------------------------------
 
-def _atoms_payload(ctx_or_measure) -> list:
-    measure = getattr(ctx_or_measure, "measure", ctx_or_measure)
-    return [
-        {"x": p.coords.tolist(), "w": float(w)} for p, w in measure.atoms()
-    ]
-
-
 def _solve_payload(ctx: EnergyContext, result: SolveResult, doc: Mapping, seed: int) -> dict:
     pushed = pushforward(ctx.measure, mobius_map(result.x_c))
+    atoms = zip(pushed.locations.tolist(), pushed.weights.tolist())
     return {
         "command": "center",
         "seed": seed,
@@ -183,7 +173,7 @@ def _solve_payload(ctx: EnergyContext, result: SolveResult, doc: Mapping, seed: 
         },
         "recentered_input": {
             "dimension": ctx.dimension,
-            "atoms": _atoms_payload(pushed),
+            "atoms": [{"x": x, "w": w} for x, w in atoms],
             "weight": ctx.weight.describe(),
         },
     }
@@ -222,17 +212,20 @@ def run_energy(args: argparse.Namespace) -> int:
     ray = doc.get("ray", {})
     if not isinstance(ray, dict):
         raise SchemaError('"ray" must be an object')
-    base = ray.get("base", [0.0] * ctx.dimension)
-    direction = ray.get("dir")
-    if direction is None:
+    if ray.get("dir") is None:
         raise SchemaError('energy profiles need "ray": {"dir": [...]}')
-    tau_max = float(ray.get("tau_max", 5.0))
-    count = int(ray.get("count", 26))
+    try:
+        base = point(ray.get("base", [0.0] * ctx.dimension))
+        direction = np.array(ray["dir"], dtype=float)
+        tau_max = float(ray.get("tau_max", 5.0))
+        count = int(ray.get("count", 26))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f'malformed "ray": {exc}') from exc
     if count < 2 or tau_max <= 0:
         raise SchemaError("ray needs count >= 2 and tau_max > 0")
     samples = []
     for sign in (1.0, -1.0):
-        g = geodesic(point(base), sign * np.asarray(direction, dtype=float))
+        g = geodesic(base, sign * direction)
         for tau in np.linspace(0.0, tau_max, count):
             x = geodesic_point(g, math.tanh(tau)).coords
             samples.append(
@@ -357,6 +350,9 @@ def run_fold(args: argparse.Namespace) -> int:
         raise SchemaError('fold needs "halfspace": {"p": [...], "t": ...}')
     try:
         h = halfspace(entry["p"], float(entry["t"]))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f'malformed "halfspace": {exc}') from exc
+    try:
         folded = pushforward(ctx.measure, fold_map(h))
         folded_ctx = energy_context(ctx.weight, folded)
     except HypcenterError as exc:

@@ -214,7 +214,7 @@ def kernel_K(ctx: EnergyContext, x: XLike, y: BallPoint) -> float:
     context guarantees whenever it owns sphere atoms.
     """
     xv = _as_interior_coords(ctx, x)
-    yp = y if isinstance(y, BallPoint) else point(y)
+    yp = point(y)
     if yp.dim != ctx.dimension:
         raise DimensionMismatch("kernel arguments live in different dimensions")
     if yp.is_boundary:

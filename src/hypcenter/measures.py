@@ -1,10 +1,11 @@
 """Finite atomic (possibly signed) measures on the closed unit ball.
 
+A measure is a set of read-only atom arrays: coordinates, signed weights,
+a sphere mask and, for geodesic-polar atoms, the exact 1 - |y|^2 datum.
 Construction and validation against the solver's guarantee hypotheses,
-pushforwards
-through point maps, and quantization of densities into reproducible atom
-lists.  Measures are immutable after construction; quantization is
-deterministic for a fixed seed.
+pushforwards through array maps, and quantization of densities into
+reproducible atom lists.  Measures are immutable after construction;
+quantization is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -30,12 +31,9 @@ from .errors import (
 from .geometry import (
     BOUNDARY_SNAP_TOL,
     ArrayMap,
-    BallPoint,
     Geodesic,
-    Locus,
     geodesic_through,
     mobius_map,
-    one_minus_sq_norm,
     one_minus_sq_norms,
     point,
 )
@@ -61,20 +59,26 @@ class GeodesicSupport(Enum):
 class AtomicMeasure:
     """Finite list of (location, signed weight) atoms in one ambient dimension.
 
-    ``one_minus_sq`` optionally holds exact per-atom values of 1 - |y_i|^2
-    (0.0 on sphere atoms) for measures with atoms given in geodesic-polar
-    form; it is None when every atom is Cartesian.
+    Atom i is row i of the read-only arrays ``locations`` (m, n), ``weights``
+    (m,) and ``boundary_mask`` (m,), which flags atoms on the unit sphere.
+    ``one_minus_sq`` optionally holds exact values of 1 - |y_i|^2 (0.0 on
+    sphere atoms) for measures with atoms given in geodesic-polar form; it is
+    None when every atom is Cartesian.
     """
 
-    points: tuple[BallPoint, ...]
+    locations: np.ndarray
     weights: np.ndarray
-    dimension: int
+    boundary_mask: np.ndarray
     one_minus_sq: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.weights.flags.writeable = False
-        if self.one_minus_sq is not None:
-            self.one_minus_sq.flags.writeable = False
+        for a in (self.locations, self.weights, self.boundary_mask, self.one_minus_sq):
+            if a is not None:
+                a.flags.writeable = False
+
+    @property
+    def dimension(self) -> int:
+        return self.locations.shape[1]
 
     @property
     def total(self) -> float:
@@ -89,35 +93,19 @@ class AtomicMeasure:
         return bool(np.any(self.weights < 0.0))
 
     @cached_property
-    def locations(self) -> np.ndarray:
-        return _read_only(np.stack([p.coords for p in self.points]))
-
-    @cached_property
-    def boundary_mask(self) -> np.ndarray:
-        return _read_only(np.array([p.is_boundary for p in self.points]))
-
-    @cached_property
     def one_minus_sq_values(self) -> np.ndarray:
         """Per-atom 1 - |y_i|^2: the exact datum where carried, else from coords."""
         if self.one_minus_sq is not None:
             return self.one_minus_sq
-        out = one_minus_sq_norms(self.locations)
-        out[self.boundary_mask] = 0.0
-        return _read_only(out)
-
-    def atoms(self) -> Iterable[tuple[BallPoint, float]]:
-        return zip(self.points, self.weights)
+        out = np.where(self.boundary_mask, 0.0, one_minus_sq_norms(self.locations))
+        out.flags.writeable = False
+        return out
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.weights)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _polar_point(spec: dict) -> tuple[BallPoint, float]:
+def _polar_point(spec: dict) -> tuple[np.ndarray, float]:
     """Interior point at arclength s along u, with its exact 1 - |y|^2 = sech^2 s."""
     u = np.array(spec["dir"], dtype=float)
     s = float(spec["s"])
@@ -131,7 +119,27 @@ def _polar_point(spec: dict) -> tuple[BallPoint, float]:
     coords = math.tanh(s) * (u / nu)
     if float(np.linalg.norm(coords)) >= 1.0:
         raise DomainError(f"arclength {s!r} has no interior float64 coordinates")
-    return BallPoint(coords, Locus.INTERIOR), 1.0 / math.cosh(s) ** 2
+    return coords, 1.0 / math.cosh(s) ** 2
+
+
+def _stack(specs: list) -> np.ndarray:
+    """The (m, n) coordinate array of the atoms, or the error that prevents it."""
+    try:
+        rows = np.array(specs, dtype=float)
+    except (TypeError, ValueError):  # not numbers, or rows of different lengths
+        rows = None
+    if rows is not None and rows.ndim == 2 and rows.shape[1] >= 1:
+        return rows
+    dims = set()
+    for spec in specs:
+        try:
+            v = np.array(spec, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError("atom coordinates must be numbers") from exc
+        if v.ndim != 1 or v.shape[0] < 1:
+            raise DomainError("a point needs a 1-d coordinate vector of length >= 1")
+        dims.add(v.shape[0])
+    raise DimensionMismatch(f"atoms span dimensions {sorted(dims)}")
 
 
 def atomic_measure(
@@ -143,40 +151,40 @@ def atomic_measure(
     An atom is either Cartesian coordinates, snapped onto the sphere within
     BOUNDARY_SNAP_TOL, or geodesic-polar ``{"dir": u, "s": s}``: the interior
     point tanh(s) u/|u| at arclength s from the origin, never snapped, whose
-    1 - |y|^2 = sech^2 s the measure carries exactly.
+    1 - |y|^2 = sech^2 s the measure carries exactly.  Cartesian atoms are
+    classified as geometry.point() classifies one point, bit for bit: each
+    norm is a per-row dot product, the rounding of np.linalg.norm on a vector.
     """
-    pts: list[BallPoint] = []
-    ws: list[float] = []
-    exact: dict[int, float] = {}
-    for spec, w in atoms:
-        if isinstance(spec, dict):
-            p, omy = _polar_point(spec)
-            exact[len(pts)] = omy
-        else:
-            p = point(spec)
-        if not math.isfinite(w):
-            raise DomainError("atom weights must be finite")
-        pts.append(p)
-        ws.append(float(w))
-    if not pts:
+    pairs = list(atoms)
+    if not pairs:
         raise EmptyMeasure("a measure needs at least one atom")
-    dims = {p.dim for p in pts}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"atoms span dimensions {sorted(dims)}")
-    (n,) = dims
+    specs, ws = zip(*pairs)
+    polar = {i: _polar_point(s) for i, s in enumerate(specs) if isinstance(s, dict)}
+    locations = _stack([polar[i][0] if i in polar else s for i, s in enumerate(specs)])
+    if not np.all(np.isfinite(locations)):
+        raise DomainError("coordinates must be finite")
+    nr = np.sqrt((locations[:, None, :] @ locations[:, :, None])[:, 0, 0])
+    snap = np.abs(nr - 1.0) <= BOUNDARY_SNAP_TOL
+    snap[list(polar)] = False
+    outside = ~snap & (nr >= 1.0)
+    if np.any(outside):
+        r = float(nr[outside][0])
+        raise DomainError(f"|coords| = {r!r} lies outside the closed unit ball")
+    locations[snap] /= nr[snap, None]
+    try:
+        weights = np.array(ws, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("atom weights must be finite numbers") from exc
+    if weights.shape != (len(ws),) or not np.all(np.isfinite(weights)):
+        raise DomainError("atom weights must be finite numbers")
+    n = locations.shape[1]
     if dimension is not None and dimension != n:
         raise DimensionMismatch(f"atoms have dimension {n}, expected {dimension}")
-    measure = AtomicMeasure(tuple(pts), np.array(ws, dtype=float), n)
-    if exact:
-        one_minus_sq = measure.one_minus_sq_values.copy()
-        one_minus_sq[list(exact)] = list(exact.values())
-        measure = AtomicMeasure(measure.points, measure.weights, n, one_minus_sq)
-    return measure
-
-
-def delta(coords: Sequence[float], weight: float = 1.0) -> tuple[Sequence[float], float]:
-    """Atom shorthand so measures read as sums of point masses."""
-    return (coords, weight)
+    if not polar:
+        return AtomicMeasure(locations, weights, snap)
+    one_minus_sq = np.where(snap, 0.0, one_minus_sq_norms(locations))
+    one_minus_sq[list(polar)] = [datum for _, datum in polar.values()]
+    return AtomicMeasure(locations, weights, snap, one_minus_sq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,15 +296,13 @@ def pushforward(measure: AtomicMeasure, mapping: ArrayMap) -> AtomicMeasure:
     Cartesian: any exact 1 - |y|^2 data of the source is dropped.
     """
     images, bd = mapping(measure.locations, measure.boundary_mask)
-    images, bd = np.array(images, dtype=float), np.array(bd, dtype=bool)
+    images, bd = np.array(images, dtype=float, order="C"), np.array(bd, dtype=bool)
     if images.shape != measure.locations.shape or bd.shape != (len(measure),):
         raise DimensionMismatch(f"pushforward images have shape {images.shape}")
     r = np.linalg.norm(images, axis=1)  # NaN or inf rows fail both tests
     if not np.all(np.where(bd, np.abs(r - 1.0) <= BOUNDARY_SNAP_TOL, r <= 1.0)):
         raise DomainError("pushforward images must be finite points of the closed ball")
-    loci = [Locus.BOUNDARY if b else Locus.INTERIOR for b in bd.tolist()]
-    pts = tuple(BallPoint(y, lc) for y, lc in zip(images, loci))
-    return AtomicMeasure(pts, measure.weights.copy(), measure.dimension)
+    return AtomicMeasure(images, measure.weights.copy(), bd)
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,24 +355,20 @@ def quantize_density(
     sampler = qmc.Halton(d=dimension, scramble=True, seed=seed)
     lo = region.center - region.radius
     span = 2.0 * region.radius
-    samples: list[np.ndarray] = []
+    samples = np.empty((0, dimension))
     while len(samples) < count:
-        block = sampler.random(max(64, count))
-        for row in block:
-            y = lo + span * row
-            if np.linalg.norm(y - region.center) <= region.radius:
-                samples.append(y)
-                if len(samples) == count:
-                    break
+        ys = lo + span * sampler.random(max(64, count))
+        d = ys - region.center  # per-row dot products: np.linalg.norm per point
+        inside = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) <= region.radius
+        samples = np.concatenate([samples, ys[inside]])
+    samples = samples[:count]
+    fs = [float(f(y)) for y in samples]
+    if min(fs) < 0.0:
+        raise DomainError("density must be nonnegative on the region")
     vol = region.volume()
-    atoms = []
-    for y in samples:
-        fy = float(f(y))
-        if fy < 0.0:
-            raise DomainError("density must be nonnegative on the region")
-        w = fy * one_minus_sq_norm(y) ** (-dimension) * vol / count
-        atoms.append((y, w))
-    measure = atomic_measure(atoms, dimension)
+    omy = one_minus_sq_norms(samples).tolist()
+    ws = [fy * o ** (-dimension) * vol / count for fy, o in zip(fs, omy)]
+    measure = atomic_measure(list(zip(samples, ws)), dimension)
     if measure.abs_total <= 0.0:
         raise NonpositiveMass("density vanished at every sample point")
     return measure

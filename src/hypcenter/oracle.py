@@ -118,16 +118,18 @@ def _atomwise_energy(ctx: EnergyContext, x: np.ndarray) -> float:
     interior terms take |T_x(y)| from the distance formula between -x and y
     with the measure's own 1 - |y|^2 datum, so far atoms keep their arclength."""
     omx = one_minus_sq_norm(x)
-    measure = ctx.measure
+    m = ctx.measure
     terms = []
-    for p, w, omy in zip(measure.points, measure.weights, measure.one_minus_sq_values):
-        diff = x + p.coords
+    for y, on_sphere, w, omy in zip(
+        m.locations, m.boundary_mask, m.weights, m.one_minus_sq_values
+    ):
+        diff = x + y
         sq = float(diff @ diff)
-        if p.is_boundary:
+        if on_sphere:
             val = 0.5 * math.log(sq / omx)
         else:
             g_img = _G_at(ctx.weight, 2.0 * sq / (omx * omy))
-            val = g_img - _G_at(ctx.weight, 2.0 * float(p.coords @ p.coords) / omy)
+            val = g_img - _G_at(ctx.weight, 2.0 * float(y @ y) / omy)
         terms.append(float(w) * val)
     return math.fsum(terms)
 
@@ -451,10 +453,6 @@ class ZeroSet:
 
     points: tuple[float, ...]
     intervals: tuple[tuple[float, float], ...]
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.points) + len(self.intervals)
 
 
 def brute_force_zeros_along_line(

@@ -36,6 +36,7 @@ from .geometry import (
     BallPoint,
     Locus,
     hyp_distance,
+    interior_point,
     one_minus_sq_norm,
     point,
     translate_coords,
@@ -176,10 +177,7 @@ def _auto_initial(ctx: EnergyContext) -> np.ndarray:
 def _initial_coords(ctx: EnergyContext, opts: SolveOptions) -> np.ndarray:
     if opts.initial is None:
         return _auto_initial(ctx)
-    p = point(opts.initial) if not isinstance(opts.initial, BallPoint) else opts.initial
-    if p.locus is not Locus.INTERIOR:
-        raise DomainError("initial point must be interior")
-    return np.array(p.coords)
+    return np.array(interior_point(opts.initial).coords)
 
 
 def _step(x: np.ndarray, direction: np.ndarray, tau: float) -> np.ndarray:

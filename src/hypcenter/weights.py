@@ -30,7 +30,7 @@ from .errors import (
     NotBoundaryCompatible,
     UndefinedAtOne,
 )
-from .geometry import BallPoint, point
+from .geometry import point
 
 _CHECK_GRID = 10_000
 
@@ -165,7 +165,7 @@ def eval_g(w: RadialWeight, r):
 
 def eval_v(w: RadialWeight, y) -> np.ndarray:
     """Radial field v(y) = g(|y|) y/|y|, zero at the origin."""
-    p = point(y) if not isinstance(y, BallPoint) else y
+    p = point(y)
     r = p.r
     if r == 0.0:
         return np.zeros(p.dim)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hypcenter import cli
 
 TANH = math.tanh
+GOLDEN = Path(__file__).parent / "golden"
 
 SPHERE3 = {
     "dimension": 2,
@@ -74,17 +76,40 @@ class TestCenter:
         assert run(["center", "--input", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_schema_violations(self, tmp_path):
+    def test_schema_violations(self, tmp_path, capsys):
+        identity = {"kind": "identity", "params": {}}
         for doc in (
             {"dimension": 2, "atoms": []},
-            {"dimension": 2, "atoms": [{"x": [0.1], "w": 1.0}],
-             "weight": {"kind": "identity", "params": {}}},
+            {"dimension": 2, "atoms": [{"x": [0.1], "w": 1.0}], "weight": identity},
             {"dimension": 1, "atoms": [{"x": [0.1], "w": 1.0}],
              "weight": {"kind": "nope", "params": {}}},
-            {"dimension": 1, "atoms": [{"x": [1.5], "w": 1.0}],
-             "weight": {"kind": "identity", "params": {}}},
+            {"dimension": 1, "atoms": [{"x": [1.5], "w": 1.0}], "weight": identity},
+            {"dimension": 2, "atoms": [{"x": [0.1, "a"], "w": 1.0}],
+             "weight": identity},
+            {"dimension": 2, "atoms": [{"x": [0.1, [0.2]], "w": 1.0}],
+             "weight": identity},
+            {"dimension": 2, "atoms": [{"x": [0.1, 0.2], "w": None}],
+             "weight": identity},
         ):
-            assert run(["center", "--input", write_job(tmp_path, doc)]) == 1
+            for command in ("center", "energy", "fold"):
+                capsys.readouterr()
+                assert run([command, "--input", write_job(tmp_path, doc)]) == 1
+                assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ray",
+        [
+            {"dir": [1.0, 0.0], "tau_max": "x"},
+            {"dir": [1.0, 0.0], "count": "x"},
+            {"dir": [1.0, 0.0], "count": None},
+            {"dir": [1.0, "a"]},
+            {"dir": [1.0, 0.0], "base": ["a", 0.0]},
+        ],
+    )
+    def test_energy_ray_violations(self, tmp_path, capsys, ray):
+        doc = dict(SPHERE3, ray=ray)
+        assert run(["energy", "--input", write_job(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_multistart_flag_overrides_file(self, tmp_path):
         doc = dict(TWO_ZEROS)
@@ -110,6 +135,23 @@ class TestCenter:
         run(["center", "--input", job, "--output", a, "--seed", "7"])
         run(["center", "--input", job, "--output", b, "--seed", "7"])
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize(
+        "command, job, flags, report",
+        [
+            # sphere atoms, and Cartesian rows within the snap tolerance of it
+            ("center", "center_sphere_2d.json", [], "center_sphere_2d.report.json"),
+            ("center", "center_200_3d.json", ["--strategy", "newton"],
+             "center_200_3d.newton.report.json"),
+            ("fold", "fold_2d.json", [], "fold_2d.report.json"),
+        ],
+    )
+    def test_reports_match_golden(self, tmp_path, command, job, flags, report):
+        # the golden reports were written by the per-atom measure
+        # implementation that the array measure replaced
+        out = tmp_path / "report.json"
+        assert run([command, "-i", str(GOLDEN / job), "-o", str(out), *flags]) == 0
+        assert out.read_bytes() == (GOLDEN / report).read_bytes()
 
     def test_recentered_output_reingests(self, tmp_path):
         job = write_job(tmp_path, {
@@ -196,6 +238,12 @@ class TestFold:
     def test_missing_halfspace(self, tmp_path):
         job = write_job(tmp_path, SPHERE3)
         assert run(["fold", "--input", job]) == 1
+
+    def test_malformed_halfspace(self, tmp_path, capsys):
+        for halfspace in ({"p": [1.0, "a"], "t": 0.1}, {"p": [1.0, 0.0], "t": None}):
+            job = write_job(tmp_path, dict(SPHERE3, halfspace=halfspace))
+            assert run(["fold", "--input", job]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestReproduce:

@@ -199,9 +199,8 @@ class TestRenormalizedEnergy:
         ctx = sphere_triangle()
         x = np.array([0.3, -0.2])
         explicit = sum(
-            w * 0.5 * math.log(float((x + p.coords) @ (x + p.coords))
-                               / geo.one_minus_sq_norm(x))
-            for p, w in ctx.measure.atoms()
+            w * 0.5 * math.log(float((x + y) @ (x + y)) / geo.one_minus_sq_norm(x))
+            for y, w in zip(ctx.measure.locations, ctx.measure.weights)
         )
         assert en.renormalized_energy(ctx, x) == pytest.approx(explicit, abs=1e-13)
 
@@ -222,7 +221,8 @@ class TestRenormalizedEnergy:
         full = en.energy_context(w, ms.atomic_measure(ball_atoms + sphere_atoms))
         x = [0.25, -0.15]
         parts = sum(
-            wgt * en.kernel_K(full, x, p) for p, wgt in full.measure.atoms()
+            wgt * en.kernel_K(full, x, y)
+            for y, wgt in zip(full.measure.locations, full.measure.weights)
         )
         assert en.renormalized_energy(full, x) == pytest.approx(parts, abs=1e-14)
 

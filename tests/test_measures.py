@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -40,11 +42,128 @@ class TestConstruction:
         assert list(mu.boundary_mask) == [True, False]
 
 
+def _pointwise_reference(atoms):
+    """Per-atom construction: geometry.point() for Cartesian atoms, the
+    tanh(s) u/|u| formula with datum sech^2 s for polar ones."""
+    coords, sphere, datum = [], [], []
+    for spec, _ in atoms:
+        if isinstance(spec, dict):
+            u = np.array(spec["dir"], dtype=float)
+            coords.append(math.tanh(spec["s"]) * (u / float(np.linalg.norm(u))))
+            sphere.append(False)
+            datum.append(1.0 / math.cosh(spec["s"]) ** 2)
+        else:
+            p = geo.point(spec)
+            coords.append(p.coords)
+            sphere.append(p.is_boundary)
+            datum.append(0.0 if p.is_boundary else geo.one_minus_sq_norm(p.coords))
+    return np.stack(coords), np.array(sphere), np.array(datum)
+
+
+class TestArrayConstruction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("with_polar", [False, True])
+    def test_matches_pointwise_point(self, n, with_polar):
+        rng = np.random.default_rng(100 + n)
+        dirs = rng.normal(size=(1500, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        radii = np.concatenate([
+            rng.uniform(0.0, 0.99, 300),
+            1.0 + rng.uniform(-0.9e-9, 0.9e-9, 600),  # snapped onto the sphere
+            np.full(300, 1.0 - 1.1e-9),  # just outside the snap band: interior
+            np.ones(300),
+        ])
+        locs = dirs * radii[:, None]
+        locs[-n:] = np.eye(n)  # exact sphere rows
+        locs[0] = 0.0  # the origin
+        atoms = [(row, w) for row, w in zip(locs.tolist(), rng.uniform(-1, 1, 1500))]
+        if with_polar:
+            for i in rng.choice(len(atoms), 40, replace=False):
+                polar = {"dir": rng.normal(size=n).tolist(), "s": rng.uniform(0, 18)}
+                atoms[i] = (polar, atoms[i][1])
+        mu = ms.atomic_measure(atoms)
+        coords, sphere, datum = _pointwise_reference(atoms)
+        assert 0 < sphere.sum() < len(atoms) - 300
+        np.testing.assert_array_equal(
+            mu.locations.view(np.int64), coords.view(np.int64)
+        )
+        np.testing.assert_array_equal(mu.boundary_mask, sphere)
+        assert mu.weights.tolist() == [w for _, w in atoms]
+        if with_polar:
+            np.testing.assert_array_equal(
+                mu.one_minus_sq.view(np.int64), datum.view(np.int64)
+            )
+        else:
+            assert mu.one_minus_sq is None
+            np.testing.assert_array_equal(mu.one_minus_sq_values, datum)
+
+    @pytest.mark.parametrize(
+        "atoms, error",
+        [
+            ([], EmptyMeasure),
+            ([([0.1, 0.2], 1.0), ([0.3], 1.0), ([0.1, 0.2, 0.3], 1.0)],
+             DimensionMismatch),
+            ([({"dir": [1.0, 0.0], "s": 1.0}, 1.0), ([0.1], 1.0)], DimensionMismatch),
+            ([({"dir": [1.0], "s": 1.0}, 1.0), ({"dir": [0.0, 1.0], "s": 1.0}, 1.0)],
+             DimensionMismatch),
+            ([([[0.1, 0.2]], 1.0)], DomainError),
+            ([([0.1, 0.2], 1.0), ([[0.1, 0.2]], 1.0)], DomainError),
+            ([(0.5, 1.0)], DomainError),
+            ([([], 1.0)], DomainError),
+            ([([0.1, "a"], 1.0)], DomainError),
+            ([([0.1, [0.2]], 1.0)], DomainError),
+            ([([0.1, math.nan], 1.0)], DomainError),
+            ([([0.2], 1.0), ([math.inf], 1.0)], DomainError),
+            ([([1.5], 1.0)], DomainError),
+            ([([0.1, 0.2], 1.0), ([0.8, 0.7], 1.0)], DomainError),
+            ([([1.0 + 1.1e-9], 1.0)], DomainError),
+            ([([0.1], math.nan)], DomainError),
+            ([([0.1], math.inf)], DomainError),
+            ([([0.1], None)], DomainError),
+        ],
+    )
+    def test_malformed_atoms_keep_their_error_types(self, atoms, error):
+        with pytest.raises(error):
+            ms.atomic_measure(atoms)
+
+    def test_dimension_argument_checked(self):
+        with pytest.raises(DimensionMismatch):
+            ms.atomic_measure([([0.1, 0.2], 1.0)], dimension=3)
+        assert ms.atomic_measure([([0.1, 0.2], 1.0)], dimension=2).dimension == 2
+
+    def test_no_ball_points_in_measures(self):
+        # atoms live in arrays; single-point objects belong to geometry
+        tree = ast.parse(inspect.getsource(ms))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "BallPoint" not in [a.name for a in node.names]
+            if isinstance(node, ast.Name):
+                assert node.id != "BallPoint"
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "BallPoint"
+        assert not hasattr(ms.AtomicMeasure, "points")
+        assert not hasattr(ms.AtomicMeasure, "atoms")
+
+    def test_arrays_are_read_only(self):
+        built = ms.atomic_measure(
+            [([0.1, 0.2], 1.0), ([1.0, 0.0], 2.0), ({"dir": [0.0, 1.0], "s": 2.0}, 1.0)]
+        )
+        pushed = ms.pushforward(built, geo.mobius_map([0.2, -0.1]))
+        for mu, names in (
+            (built, ("locations", "weights", "boundary_mask", "one_minus_sq")),
+            (pushed, ("locations", "weights", "boundary_mask", "one_minus_sq_values")),
+        ):
+            for name in names:
+                arr = getattr(mu, name)
+                with pytest.raises(ValueError):
+                    arr[0] = arr[1]
+
+
 class TestPolarAtoms:
     def test_far_polar_atom_carries_exact_datum(self):
         mu = ms.atomic_measure([([0.0], 0.5), ({"dir": [1.0], "s": 9.0}, 0.5)])
         assert list(mu.boundary_mask) == [False, False]
-        assert mu.points[1].coords[0] == TANH(9.0)
+        assert mu.locations[1, 0] == TANH(9.0)
         ctx = en.energy_context(wt.arctanh_power(2.0), mu)
         assert ctx.one_minus_sq[1] == 1.0 / math.cosh(9.0) ** 2
         assert ctx.one_minus_sq[0] == 1.0
@@ -59,7 +178,7 @@ class TestPolarAtoms:
     def test_polar_direction_is_normalized(self):
         mu = ms.atomic_measure([({"dir": [3.0, 4.0], "s": 1.0}, 1.0)])
         np.testing.assert_allclose(
-            mu.points[0].coords, TANH(1.0) * np.array([0.6, 0.8]), rtol=1e-15
+            mu.locations[0], TANH(1.0) * np.array([0.6, 0.8]), rtol=1e-15
         )
 
     def test_mixed_measure_fills_cartesian_rows(self):
@@ -89,8 +208,8 @@ class TestPolarAtoms:
         assert mu.one_minus_sq is None
         ctx = en.energy_context(wt.identity(), mu)
         expected = [
-            0.0 if p.is_boundary else geo.one_minus_sq_norm(p.coords)
-            for p in mu.points
+            0.0 if on_sphere else geo.one_minus_sq_norm(y)
+            for y, on_sphere in zip(mu.locations, mu.boundary_mask)
         ]
         assert ctx.one_minus_sq.tolist() == expected
 
@@ -265,6 +384,13 @@ class TestAggregate:
             np.testing.assert_array_equal(a, b)
 
 
+def _ball_points(measure):
+    """The atoms as single points with their recorded loci, never re-snapped."""
+    loci = [geo.Locus.BOUNDARY if b else geo.Locus.INTERIOR
+            for b in measure.boundary_mask]
+    return [geo.BallPoint(y, lc) for y, lc in zip(measure.locations, loci)]
+
+
 class TestPushforward:
     def test_identity_map(self):
         mu = ms.atomic_measure([([0.1, 0.2], 1.0), ([0.3, -0.1], 2.0), ([0.0, 1.0], 1.0)])
@@ -286,7 +412,7 @@ class TestPushforward:
             x = rng.normal(size=n)
             x *= radius / np.linalg.norm(x)
             out = ms.pushforward(mu, geo.mobius_map(x))
-            ref = np.array([geo.mobius(x, p).coords for p in mu.points])
+            ref = np.array([geo.mobius(x, p).coords for p in _ball_points(mu)])
             # the batch rounds x.y in a matrix-vector product, mobius() in a
             # dot per point: 4 ulp plus that rounding difference, propagated
             # through d T_x(y) / d(x.y), whose norm is below
@@ -305,7 +431,7 @@ class TestPushforward:
         out = ms.pushforward(mu, geo.mobius_map([0.3]))
         assert not out.boundary_mask[0]
         assert out.locations[0, 0] < 1.0
-        assert out.locations[0, 0] == geo.mobius([0.3], mu.points[0]).coords[0]
+        assert out.locations[0, 0] == geo.mobius([0.3], _ball_points(mu)[0]).coords[0]
 
     def test_wrong_shape_rejected(self):
         mu = ms.atomic_measure([([0.1, 0.2], 1.0), ([0.3, -0.1], 2.0)])
@@ -337,8 +463,8 @@ class TestPushforward:
             [([0.5, 0.1], 1.0), ([-0.2, 0.3], 1.0), ([0.7, -0.4], 1.0)]
         )
         out = ms.pushforward(mu, geo.fold_map(h))
-        for p in out.points:
-            assert geo.halfspace_contains(h, p, tol=1e-12)
+        for y in out.locations:
+            assert geo.halfspace_contains(h, y, tol=1e-12)
 
 
 class TestQuantizeDensity:

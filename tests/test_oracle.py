@@ -191,7 +191,7 @@ class TestCocycle:
 
     def test_degenerate_arguments(self):
         ctx = sphere_ctx()
-        y = next(p for p in ctx.measure.points)
+        y = ctx.measure.locations[0]
         z = np.array([0.2, -0.3])
         lhs = en.kernel_K(ctx, z, y)
         rhs = en.kernel_K(ctx, z, y) + en.kernel_K(ctx, np.zeros(2), y)
