@@ -17,12 +17,12 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import fixtures, oracle
-from .energy import EnergyContext, energy_context, field_V, renormalized_energy
+from .energy import EnergyContext, energy_and_field, energy_context, field_V
 from .errors import DivergentIterates, HypcenterError, SchemaError
 from .geometry import fold_map, geodesic, geodesic_point, halfspace, mobius_map, point
 from .measures import atomic_measure, pushforward
@@ -90,7 +90,7 @@ def parse_measure(doc: Mapping):
     if "dimension" not in doc or "atoms" not in doc:
         raise SchemaError('input needs "dimension" and "atoms"')
     n = doc["dimension"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise SchemaError('"dimension" must be a positive integer')
     atoms = doc["atoms"]
     if not isinstance(atoms, list) or not atoms:
@@ -119,23 +119,14 @@ def parse_options(doc: Mapping, args: argparse.Namespace) -> SolveOptions:
     overlay = doc.get("options", {})
     if not isinstance(overlay, dict):
         raise SchemaError('"options" must be an object')
-    merged: dict = {}
-    for key in ("tol_residual", "max_iters", "multistart"):
-        if key in overlay:
-            merged[key] = overlay[key]
-    if "strategy" in overlay:
-        merged["strategy"] = Strategy(overlay["strategy"])
-    if "initial" in overlay:
-        merged["initial"] = overlay["initial"]
-    if args.tol is not None:
-        merged["tol_residual"] = args.tol
-    if args.max_iters is not None:
-        merged["max_iters"] = args.max_iters
-    if args.strategy is not None:
-        merged["strategy"] = Strategy(args.strategy)
-    if args.multistart is not None:
-        merged["multistart"] = args.multistart
+    keys = ("tol_residual", "max_iters", "multistart", "strategy", "initial")
+    merged = {key: overlay[key] for key in keys if key in overlay}
+    flags = {"tol_residual": args.tol, "max_iters": args.max_iters,
+             "multistart": args.multistart, "strategy": args.strategy}
+    merged.update((key, flag) for key, flag in flags.items() if flag is not None)
     try:
+        if "strategy" in merged:
+            merged["strategy"] = Strategy(merged["strategy"])
         return SolveOptions(**merged)
     except (TypeError, ValueError, HypcenterError) as exc:
         raise SchemaError(f"bad solve options: {exc}") from exc
@@ -152,11 +143,13 @@ def build_context(doc: Mapping) -> EnergyContext:
 
 # -- report pieces ------------------------------------------------------------
 
-def _solve_payload(ctx: EnergyContext, result: SolveResult, doc: Mapping, seed: int) -> dict:
+def _solve_payload(
+    ctx: EnergyContext, result: SolveResult, command: str, seed: int
+) -> dict:
     pushed = pushforward(ctx.measure, mobius_map(result.x_c))
     atoms = zip(pushed.locations.tolist(), pushed.weights.tolist())
     return {
-        "command": "center",
+        "command": command,
         "seed": seed,
         "dimension": ctx.dimension,
         "hypothesis_class": result.hypothesis_class.value,
@@ -189,21 +182,35 @@ def _exit_code(result: SolveResult) -> int:
 
 # -- subcommands ---------------------------------------------------------------
 
-def run_center(args: argparse.Namespace) -> int:
-    doc = load_job(args.input)
-    ctx = build_context(doc)
+def _solve_and_report(
+    args: argparse.Namespace,
+    doc: Mapping,
+    ctx: EnergyContext,
+    command: str,
+    extra: Callable[[SolveResult], dict] | None = None,
+) -> int:
+    """Solve, write the report (``extra`` appends fields read off the result),
+    and return the exit code; a measure without a center gets an error report."""
     opts = parse_options(doc, args)
     try:
         result = solve_center(ctx, opts)
     except DivergentIterates as exc:
         write_report(
-            {"command": "center", "seed": args.seed, "error": "divergent_iterates",
+            {"command": command, "seed": args.seed, "error": "divergent_iterates",
              "message": str(exc)},
             args.output,
         )
         return EXIT_DIVERGENT
-    write_report(_solve_payload(ctx, result, doc, args.seed), args.output)
+    payload = _solve_payload(ctx, result, command, args.seed)
+    if extra is not None:
+        payload.update(extra(result))
+    write_report(payload, args.output)
     return _exit_code(result)
+
+
+def run_center(args: argparse.Namespace) -> int:
+    doc = load_job(args.input)
+    return _solve_and_report(args, doc, build_context(doc), "center")
 
 
 def run_energy(args: argparse.Namespace) -> int:
@@ -228,12 +235,13 @@ def run_energy(args: argparse.Namespace) -> int:
         g = geodesic(base, sign * direction)
         for tau in np.linspace(0.0, tau_max, count):
             x = geodesic_point(g, math.tanh(tau)).coords
+            energy, field = energy_and_field(ctx, x)
             samples.append(
                 {
                     "direction": int(sign),
                     "tau": float(tau),
-                    "energy": renormalized_energy(ctx, x),
-                    "field_norm": float(np.linalg.norm(field_V(ctx, x))),
+                    "energy": energy,
+                    "field_norm": float(np.linalg.norm(field)),
                 }
             )
     write_report(
@@ -357,23 +365,12 @@ def run_fold(args: argparse.Namespace) -> int:
         folded_ctx = energy_context(ctx.weight, folded)
     except HypcenterError as exc:
         raise SchemaError(str(exc)) from exc
-    opts = parse_options(doc, args)
-    try:
-        result = solve_center(folded_ctx, opts)
-    except DivergentIterates as exc:
-        write_report(
-            {"command": "fold", "seed": args.seed, "error": "divergent_iterates",
-             "message": str(exc)},
-            args.output,
-        )
-        return EXIT_DIVERGENT
-    residual_vec = field_V(folded_ctx, result.x_c.coords)
-    payload = _solve_payload(folded_ctx, result, doc, args.seed)
-    payload["command"] = "fold"
-    payload["halfspace"] = {"p": h.p.tolist(), "t": h.t}
-    payload["orthogonality_residual"] = float(np.linalg.norm(residual_vec))
-    write_report(payload, args.output)
-    return _exit_code(result)
+    return _solve_and_report(args, doc, folded_ctx, "fold", lambda result: {
+        "halfspace": {"p": h.p.tolist(), "t": h.t},
+        "orthogonality_residual": float(
+            np.linalg.norm(field_V(folded_ctx, result.x_c.coords))
+        ),
+    })
 
 
 def run_reproduce(args: argparse.Namespace) -> int:
@@ -403,15 +400,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", "-i", required=True, help="job JSON file")
         p.add_argument("--output", "-o", default=None, help="report path (default stdout)")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
+
+    def solving(p: argparse.ArgumentParser) -> None:
+        common(p, True)
         p.add_argument("--tol", type=float, default=None, help="residual tolerance")
         p.add_argument("--max-iters", type=int, default=None)
         p.add_argument("--strategy", choices=["descent", "newton"], default=None)
         p.add_argument("--multistart", type=int, default=None)
 
-    common(sub.add_parser("center", help="solve for the center of mass"), True)
+    solving(sub.add_parser("center", help="solve for the center of mass"))
     common(sub.add_parser("energy", help="sample the energy along a ray"), True)
     common(sub.add_parser("verify", help="run the oracle property scans"), False)
-    common(sub.add_parser("fold", help="fold the measure into a halfspace, then solve"), True)
+    solving(sub.add_parser("fold", help="fold into a halfspace, then solve"))
     rep = sub.add_parser("reproduce", help="re-run a built-in fixture")
     rep.add_argument("name", nargs="?", help="fixture name")
     rep.add_argument("--list", action="store_true", help="list fixture names")

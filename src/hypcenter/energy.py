@@ -52,16 +52,15 @@ class EnergyContext:
 
     weight: RadialWeight
     measure: AtomicMeasure
-    dimension: int
     validation: ValidationReport
-    locations: np.ndarray
-    weights_arr: np.ndarray
-    boundary: np.ndarray
     interior: np.ndarray
     any_boundary: bool
     sq_norms: np.ndarray
-    one_minus_sq: np.ndarray
     gamma_y: np.ndarray  # G(|y_i|) for interior atoms, 0.0 on sphere rows
+
+    @property
+    def dimension(self) -> int:
+        return self.measure.dimension
 
     @property
     def total(self) -> float:
@@ -105,15 +104,10 @@ def energy_context(weight: RadialWeight, measure: AtomicMeasure) -> EnergyContex
     return EnergyContext(
         weight=weight,
         measure=measure,
-        dimension=measure.dimension,
         validation=report,
-        locations=locations,
-        weights_arr=np.asarray(measure.weights, dtype=float),
-        boundary=boundary,
         interior=interior,
         any_boundary=bool(np.any(boundary)),
         sq_norms=sq_norms,
-        one_minus_sq=one_minus_sq,
         gamma_y=gamma_y,
     )
 
@@ -130,7 +124,10 @@ def _as_interior_coords(ctx: EnergyContext, x: XLike) -> np.ndarray:
 
 
 def _batch(ctx: EnergyContext, x: np.ndarray) -> MobiusBatch:
-    return mobius_batch(x, ctx.locations, ctx.sq_norms, ctx.one_minus_sq, ctx.boundary)
+    mu = ctx.measure
+    return mobius_batch(
+        x, mu.locations, ctx.sq_norms, mu.one_minus_sq_values, mu.boundary_mask
+    )
 
 
 def _fsum_vector(contrib: np.ndarray) -> np.ndarray:
@@ -151,11 +148,11 @@ def _field_contrib(ctx: EnergyContext, batch: MobiusBatch) -> np.ndarray:
         g_vals[ctx.interior] = eval_g_rs(
             ctx.weight, batch.radii[ctx.interior], batch.arclengths[ctx.interior]
         )
-        g_vals[ctx.boundary] = ctx.weight.g1
+        g_vals[ctx.measure.boundary_mask] = ctx.weight.g1
     norms = np.sqrt(np.einsum("ij,ij->i", batch.images, batch.images))
     with np.errstate(invalid="ignore", divide="ignore"):
         units = np.where(norms[:, None] > 0.0, batch.images / norms[:, None], 0.0)
-    return (ctx.weights_arr * g_vals)[:, None] * units
+    return (ctx.measure.weights * g_vals)[:, None] * units
 
 
 def field_V(ctx: EnergyContext, x: XLike) -> np.ndarray:
@@ -184,10 +181,11 @@ def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.
             - ctx.gamma_y[ctx.interior]
         )
     # |x + y|^2 equals the Mobius denominator when |y| = 1
-    sq = batch.dens[ctx.boundary]
+    boundary = ctx.measure.boundary_mask
+    sq = batch.dens[boundary]
     if sq.min() < 1e-300:
         raise BusemannSingularity("kernel diverges: x at the antipode of a sphere atom")
-    vals[ctx.boundary] = 0.5 * (np.log(sq) - math.log(omx))
+    vals[boundary] = 0.5 * (np.log(sq) - math.log(omx))
     return vals
 
 
@@ -195,7 +193,7 @@ def renormalized_energy(ctx: EnergyContext, x: XLike) -> float:
     """The renormalized energy; finite for sphere atoms and zero at x = 0."""
     xv = _as_interior_coords(ctx, x)
     vals = _kernel_terms(ctx, xv, _batch(ctx, xv))
-    return float(math.fsum((ctx.weights_arr * vals).tolist()))
+    return float(math.fsum((ctx.measure.weights * vals).tolist()))
 
 
 def energy_and_field(ctx: EnergyContext, x: XLike) -> tuple[float, np.ndarray]:
@@ -203,7 +201,7 @@ def energy_and_field(ctx: EnergyContext, x: XLike) -> tuple[float, np.ndarray]:
     xv = _as_interior_coords(ctx, x)
     batch = _batch(ctx, xv)
     vals = _kernel_terms(ctx, xv, batch)
-    energy = float(math.fsum((ctx.weights_arr * vals).tolist()))
+    energy = float(math.fsum((ctx.measure.weights * vals).tolist()))
     return energy, _fsum_vector(_field_contrib(ctx, batch))
 
 

@@ -98,21 +98,24 @@ class BallPoint:
 PointLike = Union[BallPoint, Sequence[float], np.ndarray]
 
 
-def point(coords: PointLike, snap_tol: float = BOUNDARY_SNAP_TOL) -> BallPoint:
+def point(coords: PointLike) -> BallPoint:
     """Classify coordinates as Interior or Boundary, snapping onto the sphere.
 
-    Raises DomainError for empty vectors or points outside the closed ball
-    (beyond the snap tolerance).
+    Raises DomainError for non-numeric or empty vectors and for points
+    outside the closed ball (beyond the snap tolerance).
     """
     if isinstance(coords, BallPoint):
         return coords
-    v = np.array(coords, dtype=float)
+    try:
+        v = np.array(coords, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"coordinates must be numbers: {exc}") from exc
     if v.ndim != 1 or v.shape[0] < 1:
         raise DomainError("a point needs a 1-d coordinate vector of length >= 1")
     if not np.all(np.isfinite(v)):
         raise DomainError("coordinates must be finite")
     nr = float(np.linalg.norm(v))
-    if abs(nr - 1.0) <= snap_tol:
+    if abs(nr - 1.0) <= BOUNDARY_SNAP_TOL:
         return BallPoint(v / nr, Locus.BOUNDARY)
     if nr < 1.0:
         return BallPoint(v, Locus.INTERIOR)

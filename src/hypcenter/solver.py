@@ -6,7 +6,8 @@ energy's directional derivative is -|V|, so the sufficient-decrease test reads
 E_new <= E - c1 tau |V|.  A Newton-accelerated strategy builds a trust-region
 quadratic model from finite differences of the gradient and falls back to the
 descent step whenever the model is not positive definite or fails to decrease
-the energy.
+the energy.  Each trial point costs one energy_and_field pass, whose field an
+accepted point keeps.
 
 Non-convergence is a result state (converged=False), with one exception:
 iterates escaping to the boundary without residual decrease raise
@@ -17,6 +18,7 @@ with vanishing total mass behave exactly this way).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -25,13 +27,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import DivergentIterates, DomainError
-from .energy import (
-    EnergyContext,
-    energy_and_field,
-    energy_context,
-    field_V,
-    renormalized_energy,
-)
+from .energy import EnergyContext, energy_and_field, energy_context, field_V
 from .geometry import (
     BallPoint,
     Locus,
@@ -109,6 +105,10 @@ class SolveOptions:
             raise DomainError("tol_residual must be positive")
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
+        if not isinstance(self.multistart, numbers.Integral):
+            raise DomainError("multistart must be an integer")
+        if self.initial is not None:
+            interior_point(self.initial)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +167,7 @@ def _auto_initial(ctx: EnergyContext) -> np.ndarray:
     if total <= 0.0:
         mean = np.zeros(ctx.dimension)
     else:
-        mean = (ctx.weights_arr @ ctx.locations) / total
+        mean = (ctx.measure.weights @ ctx.measure.locations) / total
     nr = float(np.linalg.norm(mean))
     if nr > 0.9:
         mean = mean * (0.9 / nr)
@@ -247,10 +247,9 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
         if opts.strategy is Strategy.NEWTON_ACCELERATED:
             trial = _newton_step(ctx, x, v)
             if trial is not None:
-                e_t = renormalized_energy(ctx, trial)
+                e_t, v_t = energy_and_field(ctx, trial)
                 if e_t < e_x:
-                    x, e_x = trial, e_t
-                    v = field_V(ctx, x)
+                    x, e_x, v = trial, e_t, v_t
                     moved = True
         if not moved:
             vnorm = float(np.linalg.norm(v))
@@ -265,24 +264,19 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
             # the Armijo test reads pure noise; in that regime steps are
             # accepted on a decrease of |V| instead
             slack = 1e-15 * (1.0 + abs(e_x))
-            accepted = False
-            v_t = None
             while tau > 1e-15:
                 x_t = _step(x, direction, tau)
-                e_t = renormalized_energy(ctx, x_t)
-                if e_t <= e_x - ARMIJO_DECREASE * tau * vnorm:
-                    accepted, v_t = True, None
+                e_t, v_t = energy_and_field(ctx, x_t)
+                armijo = e_t <= e_x - ARMIJO_DECREASE * tau * vnorm
+                if armijo or (
+                    e_t <= e_x + slack and float(np.linalg.norm(v_t)) < vnorm
+                ):
                     break
-                if e_t <= e_x + slack:
-                    v_t = field_V(ctx, x_t)
-                    if float(np.linalg.norm(v_t)) < vnorm:
-                        accepted = True
-                        break
                 tau *= ARMIJO_BACKTRACK
-            if not accepted:
+            else:
                 break  # stationary to machine precision
             gain_eff = gain * (tau / tau0)
-            if v_t is None:
+            if armijo:
                 # decrease ratio against the linear model: near 1 means the
                 # step is far below the curvature scale (grow the gain), small
                 # means overshoot past the valley floor (shrink it)
@@ -293,11 +287,9 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
                     gain = max(1.0, gain_eff)
                 else:
                     gain = max(1.0, 0.5 * gain_eff)
-                v = field_V(ctx, x_t)
             else:
                 gain = max(1.0, gain_eff)
-                v = v_t
-            x, e_x = x_t, e_t
+            x, e_x, v = x_t, e_t, v_t
         res = float(np.linalg.norm(v)) / scale
         trace.append((e_x, res))
         if res < best[1]:

@@ -18,7 +18,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -69,7 +69,9 @@ class RadialWeight:
     ``g1`` is the effective value at r = 1 (scale included) or None when the
     profile has no finite boundary value.  ``positive_interior`` records the
     grid-verified claim g(r) > 0 for 0 < r < 1, which the uniqueness
-    hypotheses condition on.
+    hypotheses condition on.  The factory of each kind supplies the unscaled
+    profile ``g_unscaled(r, s)`` and antiderivative ``G_unscaled(r, s, 1 - r^2)``
+    in consistent (r, s = arctanh r) pairs.
     """
 
     kind: str
@@ -79,7 +81,8 @@ class RadialWeight:
     divergent_G: bool
     scale: float = 1.0
     positive_interior: bool = False
-    _interp: PchipInterpolator | None = field(default=None, repr=False)
+    g_unscaled: Callable = field(kw_only=True, repr=False)
+    G_unscaled: Callable = field(kw_only=True, repr=False)
 
     def describe(self) -> dict:
         """JSON-compatible description (round-trips through weight_from_config)."""
@@ -87,7 +90,6 @@ class RadialWeight:
             k: [list(row) for row in v] if k == "pieces" else
             (list(v) if isinstance(v, tuple) else v)
             for k, v in self.params.items()
-            if not k.startswith("_")
         }
         out: dict = {"kind": self.kind, "params": params}
         if self.scale != 1.0:
@@ -114,37 +116,11 @@ def _gather(rows: np.ndarray, x) -> np.ndarray:
     return rows[:, i]
 
 
-def _g_raw(w: RadialWeight, r, s):
-    """Unscaled profile value; r and s = arctanh r are matching arrays."""
-    kind = w.kind
-    if kind == "identity":
-        return r
-    if kind == "arctanh_power":
-        p = float(w.params["p"])
-        return s ** (p - 1.0)
-    if kind == "min_r_arctanh_inv":
-        with np.errstate(divide="ignore", over="ignore"):
-            inv = np.where(s > 0.0, 1.0 / np.maximum(s, 5e-324), np.inf)
-        return np.minimum(s, inv)
-    if kind == "clamped_linear":
-        return np.minimum(r, float(w.params["c"]))
-    if kind == "log_damped":
-        with np.errstate(divide="ignore", over="ignore"):
-            den = np.log(2.0 / np.maximum(1.0 - r, 5e-324))
-        return np.where(r >= 1.0, 0.0, r / den)
-    if kind == "clamped_arctanh":
-        _, m, b, _ = _gather(w.params["_rows"], s)
-        # avoid 0 * inf at r = 1 on a constant final piece
-        with np.errstate(invalid="ignore"):
-            return np.where(m != 0.0, m * s + b, b)
-    if kind == "table":
-        return w._interp(np.minimum(r, _table_cover(w, r)))
-    raise InvalidWeight(f"unknown profile kind {kind!r}")
-
-
 def eval_g_rs(w: RadialWeight, r, s):
     """Scaled g given consistent (r, arctanh r) pairs; the precision path."""
-    return w.scale * _g_raw(w, np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+    return w.scale * w.g_unscaled(
+        np.asarray(r, dtype=float), np.asarray(s, dtype=float)
+    )
 
 
 def eval_g(w: RadialWeight, r):
@@ -170,36 +146,6 @@ def eval_v(w: RadialWeight, y) -> np.ndarray:
     if r == 0.0:
         return np.zeros(p.dim)
     return float(eval_g(w, min(r, 1.0))) * (p.coords / r)
-
-
-def _G_raw(w: RadialWeight, r, s, one_minus_r2=None):
-    """Unscaled G; ``one_minus_r2`` may carry accurate 1 - r^2 values."""
-    kind = w.kind
-    om = one_minus_r2
-    if om is None:
-        om = (1.0 - r) * (1.0 + r)
-    if kind == "identity":
-        return -0.5 * np.log(om)
-    if kind == "arctanh_power":
-        p = float(w.params["p"])
-        return s**p / p
-    if kind == "min_r_arctanh_inv":
-        return np.where(s <= 1.0, 0.5 * s * s, 0.5 + np.log(np.maximum(s, 5e-324)))
-    if kind == "clamped_linear":
-        c = float(w.params["c"])
-        below = -0.5 * np.log(om)
-        g_c = -0.5 * math.log1p(-c * c)
-        return np.where(r <= c, below, g_c + c * (s - math.atanh(c)))
-    if kind == "clamped_arctanh":
-        s0, m, b, cum = _gather(w.params["_rows"], s)
-        return cum + 0.5 * m * (s - s0) * (s + s0) + b * (s - s0)
-    if kind == "log_damped":
-        return _log_damped_G(s)
-    if kind == "table":
-        _table_cover(w, r)
-        rows = _gather(w.params["_pieces"], r)
-        return rows[2] + _table_rise(rows, r, s)
-    raise InvalidWeight(f"unknown profile kind {kind!r}")
 
 
 def _log_damped_G(s):
@@ -248,18 +194,19 @@ def _table_rise(rows, r, s):
     return x * (alpha + 0.5 * beta * x) + p1 * ds - b * np.log1p(x / (1.0 + r0))
 
 
-def _table_cover(w: RadialWeight, r) -> float:
-    rmax = float(w.params["r"][-1])
+def _table_cover(rmax: float, r) -> float:
     if np.any(np.asarray(r) > rmax + 1e-15):
         raise DomainError(f"table profile only covers r <= {rmax}")
     return rmax
 
 
 def eval_G_rs(w: RadialWeight, r, s, one_minus_r2=None):
-    """Scaled G given consistent (r, s) pairs; the precision path."""
-    return w.scale * _G_raw(
-        w, np.asarray(r, dtype=float), np.asarray(s, dtype=float), one_minus_r2
-    )
+    """Scaled G given consistent (r, s) pairs; the precision path.
+    ``one_minus_r2`` may carry accurate 1 - r^2 values."""
+    r = np.asarray(r, dtype=float)
+    if one_minus_r2 is None:
+        one_minus_r2 = (1.0 - r) * (1.0 + r)
+    return w.scale * w.G_unscaled(r, np.asarray(s, dtype=float), one_minus_r2)
 
 
 def eval_G(w: RadialWeight, r):
@@ -286,9 +233,9 @@ def normalized_for_boundary(w: RadialWeight) -> RadialWeight:
     return dataclasses.replace(w, scale=w.scale / w.g1, g1=1.0)
 
 
-def _spot_check(w: RadialWeight) -> RadialWeight:
-    """Verify g(0) = 0, the declared monotonicity, and interior positivity."""
-    upper = float(w.params["r"][-1]) if w.kind == "table" else 1.0
+def _spot_check(w: RadialWeight, upper: float = 1.0) -> RadialWeight:
+    """Verify g(0) = 0, the declared monotonicity, and interior positivity on
+    [0, upper], the radii the profile covers."""
     rs = np.linspace(0.0, upper, _CHECK_GRID, endpoint=upper < 1.0)
     vals = eval_g(w, rs)
     if abs(float(vals[0])) > 1e-300:
@@ -310,7 +257,9 @@ def identity() -> RadialWeight:
     """g(r) = r, the plain center-of-mass weight."""
     return _spot_check(
         RadialWeight(
-            "identity", {}, Monotonicity.STRICTLY_INCREASING, 1.0, True
+            "identity", {}, Monotonicity.STRICTLY_INCREASING, 1.0, True,
+            g_unscaled=lambda r, s: r,
+            G_unscaled=lambda r, s, om: -0.5 * np.log(om),
         )
     )
 
@@ -323,22 +272,34 @@ def arctanh_power(p: float) -> RadialWeight:
     """
     if not p > 1.0:
         raise InvalidWeight("arctanh_power needs p > 1 so that g(0) = 0")
+    p = float(p)
     return _spot_check(
         RadialWeight(
             "arctanh_power",
-            {"p": float(p)},
+            {"p": p},
             Monotonicity.STRICTLY_INCREASING,
             None,
             True,
+            g_unscaled=lambda r, s: s ** (p - 1.0),
+            G_unscaled=lambda r, s, om: s**p / p,
         )
     )
 
 
 def min_r_arctanh_inv() -> RadialWeight:
     """g(r) = min(s, 1/s) with s = arctanh r: increases then decays to 0."""
+    def g(r, s):
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = np.where(s > 0.0, 1.0 / np.maximum(s, 5e-324), np.inf)
+        return np.minimum(s, inv)
+
     return _spot_check(
         RadialWeight(
-            "min_r_arctanh_inv", {}, Monotonicity.NONE, 0.0, True
+            "min_r_arctanh_inv", {}, Monotonicity.NONE, 0.0, True,
+            g_unscaled=g,
+            G_unscaled=lambda r, s, om: np.where(
+                s <= 1.0, 0.5 * s * s, 0.5 + np.log(np.maximum(s, 5e-324))
+            ),
         )
     )
 
@@ -347,13 +308,22 @@ def clamped_linear(c: float) -> RadialWeight:
     """g(r) = min(r, c): increasing with a flat plateau from r = c on."""
     if not 0.0 < c <= 1.0:
         raise InvalidWeight("plateau level c must lie in (0, 1]")
+    c = float(c)
+
+    def G(r, s, om):
+        below = -0.5 * np.log(om)
+        g_c = -0.5 * math.log1p(-c * c)
+        return np.where(r <= c, below, g_c + c * (s - math.atanh(c)))
+
     return _spot_check(
         RadialWeight(
             "clamped_linear",
-            {"c": float(c)},
+            {"c": c},
             Monotonicity.INCREASING,
-            float(c),
+            c,
             True,
+            g_unscaled=lambda r, s: np.minimum(r, c),
+            G_unscaled=G,
         )
     )
 
@@ -364,8 +334,16 @@ def log_damped() -> RadialWeight:
     The slow divergence makes near-boundary solves ill-conditioned; observed
     in tests, not asserted.
     """
+    def g(r, s):
+        with np.errstate(divide="ignore", over="ignore"):
+            den = np.log(2.0 / np.maximum(1.0 - r, 5e-324))
+        return np.where(r >= 1.0, 0.0, r / den)
+
     return _spot_check(
-        RadialWeight("log_damped", {}, Monotonicity.NONE, 0.0, True)
+        RadialWeight(
+            "log_damped", {}, Monotonicity.NONE, 0.0, True,
+            g_unscaled=g, G_unscaled=lambda r, s, om: _log_damped_G(s),
+        )
     )
 
 
@@ -388,16 +366,30 @@ def clamped_arctanh(pieces: Sequence[Sequence[float]]) -> RadialWeight:
     cum = [0.0]
     for (s0, m, b), (s1, _, _) in zip(pcs, pcs[1:]):
         cum.append(cum[-1] + 0.5 * m * (s1 - s0) * (s1 + s0) + b * (s1 - s0))
+    rows = np.vstack([np.array(pcs).T, cum])
     last_slope = pcs[-1][1]
     g1 = pcs[-1][2] if last_slope == 0.0 else None
     strict = all(m > 0.0 for _, m, _ in pcs)
+
+    def g(r, s):
+        _, m, b, _ = _gather(rows, s)
+        # avoid 0 * inf at r = 1 on a constant final piece
+        with np.errstate(invalid="ignore"):
+            return np.where(m != 0.0, m * s + b, b)
+
+    def G(r, s, om):
+        s0, m, b, cum = _gather(rows, s)
+        return cum + 0.5 * m * (s - s0) * (s + s0) + b * (s - s0)
+
     return _spot_check(
         RadialWeight(
             "clamped_arctanh",
-            {"pieces": pcs, "_rows": np.vstack([np.array(pcs).T, cum])},
+            {"pieces": pcs},
             Monotonicity.STRICTLY_INCREASING if strict else Monotonicity.INCREASING,
             g1,
             True,
+            g_unscaled=g,
+            G_unscaled=G,
         )
     )
 
@@ -425,18 +417,27 @@ def table(
         raise InvalidWeight("table radii must increase within [0, 1]")
     interp = PchipInterpolator(rs, gs)
     pieces = _table_pieces(interp)
+    rmax = float(rs[-1])
     g1 = float(gs[-1]) if rs[-1] == 1.0 else None
     if divergent_G is None:
         divergent_G = bool(g1 is not None and g1 > 0.0)
+
+    def G(r, s, om):
+        _table_cover(rmax, r)
+        rows = _gather(pieces, r)
+        return rows[2] + _table_rise(rows, r, s)
+
     return _spot_check(
         RadialWeight(
             "table",
-            {"r": tuple(map(float, rs)), "g": tuple(map(float, gs)), "_pieces": pieces},
+            {"r": tuple(map(float, rs)), "g": tuple(map(float, gs))},
             monotonicity,
             g1,
             divergent_G,
-            _interp=interp,
-        )
+            g_unscaled=lambda r, s: interp(np.minimum(r, _table_cover(rmax, r))),
+            G_unscaled=G,
+        ),
+        upper=rmax,
     )
 
 
@@ -454,15 +455,20 @@ _FACTORIES = {
 def weight_from_config(config: Mapping) -> RadialWeight:
     """Build a weight from its JSON description {"kind": ..., "params": {...}}."""
     kind = config.get("kind")
-    if kind not in _FACTORIES:
+    if not isinstance(kind, str) or kind not in _FACTORIES:
         raise InvalidWeight(f"unknown weight kind {kind!r}")
-    params = dict(config.get("params", {}))
-    if kind == "table" and "monotonicity" in params:
-        params["monotonicity"] = Monotonicity(params["monotonicity"])
-    w = _FACTORIES[kind](**params)
-    scale = float(config.get("scale", 1.0))
-    if scale <= 0.0:
-        raise InvalidWeight("scale must be positive")
+    # the factories take the JSON values unchecked: wrong types and unknown
+    # names surface as TypeError or ValueError
+    try:
+        params = dict(config.get("params", {}))
+        if kind == "table" and "monotonicity" in params:
+            params["monotonicity"] = Monotonicity(params["monotonicity"])
+        w = _FACTORIES[kind](**params)
+        scale = float(config.get("scale", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise InvalidWeight(f"malformed {kind!r} weight: {exc}") from exc
+    if not 0.0 < scale < math.inf:
+        raise InvalidWeight("scale must be positive and finite")
     if scale != 1.0:
         w = dataclasses.replace(
             w, scale=scale, g1=None if w.g1 is None else w.g1 * scale

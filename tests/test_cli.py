@@ -95,6 +95,47 @@ class TestCenter:
                 capsys.readouterr()
                 assert run([command, "--input", write_job(tmp_path, doc)]) == 1
                 assert "error" in capsys.readouterr().err
+        # well-formed 1-d and 2-d jobs that every command accepts, broken in
+        # one field at a time
+        line = {"dimension": 1, "atoms": [{"x": [0.3], "w": 1.0}, {"x": [-0.2], "w": 1.0}],
+                "weight": identity, "ray": {"dir": [1.0]},
+                "halfspace": {"p": [1.0], "t": 0.1}}
+        plane = {"dimension": 2,
+                 "atoms": [{"x": [0.5, 0.1], "w": 1.0}, {"x": [-0.1, 0.3], "w": 2.0}],
+                 "weight": identity, "ray": {"dir": [1.0, 0.0]},
+                 "halfspace": {"p": [1.0, 0.0], "t": 0.1}}
+        table = {"r": [0.0, 1.0], "g": [0.0, 1.0], "monotonicity": "up"}
+        broken = [
+            (dict(plane, weight=weight), ("center", "energy", "fold"))
+            for weight in (
+                {"kind": "identity", "params": [1]},
+                {"kind": "identity", "params": {"q": 1}},
+                {"kind": "identity", "params": {}, "scale": "x"},
+                {"kind": "clamped_linear", "params": {"c": "x"}},
+                {"kind": "table", "params": table},
+                {"kind": ["identity"], "params": {}},
+                {"kind": "identity", "params": {}, "scale": math.inf},
+            )
+        ]
+        broken.append((dict(line, dimension=True), ("center", "energy", "fold")))
+        broken += [
+            (dict(plane, options=options), ("center", "fold"))
+            for options in (
+                {"strategy": "bogus"},
+                {"initial": "x"},
+                {"initial": [0.1, [0.2]]},
+                {"multistart": "3"},
+            )
+        ]
+        for good in (line, plane):
+            for command in ("center", "energy", "fold"):
+                assert run([command, "-i", write_job(tmp_path, good), "-o", "-"]) == 0
+        for doc, commands in broken:
+            job = write_job(tmp_path, doc)
+            for command in commands:
+                capsys.readouterr()
+                assert run([command, "--input", job]) == 1
+                assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "ray",
@@ -279,6 +320,23 @@ class TestReproduce:
 
     def test_unknown_name(self):
         assert run(["reproduce", "not-a-fixture"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("verify", ["--strategy", "newton"]),
+        ("verify", ["--tol", "5", "--multistart", "9", "--max-iters", "3"]),
+        ("energy", ["--strategy", "newton"]),
+        ("reproduce", ["two-zeros", "--multistart", "4"]),
+    ],
+)
+def test_solve_flags_only_on_solving_commands(tmp_path, command, flags):
+    args = [command, *flags, "--output", str(tmp_path / "out.json")]
+    if command == "energy":
+        args += ["--input", write_job(tmp_path, dict(SPHERE3, ray={"dir": [1.0, 0.0]}))]
+    assert run(args) == 1
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_verify_subcommand(tmp_path):

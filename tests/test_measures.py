@@ -165,8 +165,8 @@ class TestPolarAtoms:
         assert list(mu.boundary_mask) == [False, False]
         assert mu.locations[1, 0] == TANH(9.0)
         ctx = en.energy_context(wt.arctanh_power(2.0), mu)
-        assert ctx.one_minus_sq[1] == 1.0 / math.cosh(9.0) ** 2
-        assert ctx.one_minus_sq[0] == 1.0
+        assert ctx.measure.one_minus_sq_values[1] == 1.0 / math.cosh(9.0) ** 2
+        assert ctx.measure.one_minus_sq_values[0] == 1.0
 
     def test_polar_atom_beyond_snap_tolerance_stays_interior(self):
         # tanh 12 lies within 1e-9 of the sphere: Cartesian input snaps
@@ -211,7 +211,7 @@ class TestPolarAtoms:
             0.0 if on_sphere else geo.one_minus_sq_norm(y)
             for y, on_sphere in zip(mu.locations, mu.boundary_mask)
         ]
-        assert ctx.one_minus_sq.tolist() == expected
+        assert ctx.measure.one_minus_sq_values.tolist() == expected
 
     def test_far_polar_atoms_stay_apart(self):
         # tanh 16 and tanh 17 lie within 1e-12 of each other; their exact

@@ -1,5 +1,7 @@
+import json
 import math
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,3 +349,68 @@ def test_newton_converges_under_table_on_former_stall():
     result = sv.solve_center(en.energy_context(table, mu), opts)
     assert result.converged
     assert result.residual <= 1e-10
+
+
+GOLDEN = Path(__file__).parent / "golden" / "solver_traces.json"
+NEWTON = sv.SolveOptions(strategy=sv.Strategy.NEWTON_ACCELERATED)
+
+
+def interior_measure(n, count, seed):
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(count, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.tanh(rng.uniform(0.2, 2.0, size=count))
+    w = rng.uniform(0.2, 1.0, size=count)
+    return ms.atomic_measure(list(zip(dirs * radii[:, None], w.tolist())))
+
+
+def golden_solves():
+    """The recorded solves and the solver branches each one takes."""
+    identity = wt.identity()
+    sphere0 = en.energy_context(identity, sphere_measure(2, 7, np.random.default_rng(0)))
+    sphere1 = en.energy_context(identity, sphere_measure(2, 7, np.random.default_rng(1)))
+    interior = en.energy_context(identity, interior_measure(3, 9, 0))
+    return {
+        # Armijo and |V|-decrease acceptances
+        "descent_sphere_2d": (sphere0, sv.SolveOptions()),
+        # below the energy's resolution: |V|-decrease acceptances, then the
+        # line search stalls and the solve ends unconverged
+        "descent_slack_2d": (sphere1, sv.SolveOptions(tol_residual=1e-16)),
+        # two Newton trials rejected on energy, with descent fallbacks
+        "newton_interior_3d": (interior, NEWTON),
+        "multistart_sphere_2d": (sphere0, sv.SolveOptions(multistart=4)),
+    }
+
+
+def solve_record(result):
+    return {
+        "trace": [[float.hex(e), float.hex(r)] for e, r in result.trace],
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "x_c": [float.hex(c) for c in result.x_c.coords.tolist()],
+    }
+
+
+class TestSolveGolden:
+    @pytest.mark.parametrize("name", sorted(golden_solves()))
+    def test_trace_bit_identical(self, name):
+        # recorded by the solver that evaluated each accepted point twice
+        ctx, opts = golden_solves()[name]
+        expected = json.loads(GOLDEN.read_text())[name]
+        assert solve_record(sv.solve_center(ctx, opts)) == expected
+
+    @pytest.mark.parametrize("opts", [sv.SolveOptions(), NEWTON], ids=["descent", "newton"])
+    def test_one_mobius_pass_per_point(self, monkeypatch, opts):
+        ctx = en.energy_context(wt.identity(), interior_measure(3, 9, 0))
+        seen = []
+        original = en.mobius_batch
+
+        def counting(x, *rows):
+            seen.append(np.asarray(x, dtype=float).tobytes())
+            return original(x, *rows)
+
+        monkeypatch.setattr(en, "mobius_batch", counting)
+        result = sv.solve_center(ctx, opts)
+        assert result.converged
+        assert len(seen) > result.iterations
+        assert len(seen) == len(set(seen))

@@ -1,6 +1,8 @@
 import ast
 import inspect
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +305,57 @@ class TestConfigRoundTrip:
         w = wt.weight_from_config({"kind": "identity", "params": {}, "scale": 5.0})
         assert wt.eval_g(w, 0.5) == 2.5
         assert w.g1 == 5.0
+
+
+WEIGHT_GOLDEN = Path(__file__).parent / "golden" / "weight_values.json"
+
+
+def golden_weights():
+    weights = dict(ALL_WEIGHTS)
+    weights["reference_table"] = reference_table()
+    # non-dyadic parameters, so that every operation in the formulas rounds
+    weights["clamped_linear_0.8"] = wt.clamped_linear(0.8)
+    weights["clamped_arctanh_uneven"] = wt.clamped_arctanh(
+        [(0.0, 0.7, 0.0), (0.9, 1.3, -0.54), (1.7, 0.0, 1.67)]
+    )
+    weights["table_scaled"] = wt.weight_from_config(
+        {**wt.table([0.0, 0.3, 0.6], [0.0, 0.4, 0.5]).describe(), "scale": 3.0}
+    )
+    return weights
+
+
+def golden_grid(w):
+    """Consistent (r, arctanh r, 1 - r^2) triples: 0, 1e-8, the table knots,
+    clamped_linear's c, the staircase breakpoints tanh 1 and tanh 2, points
+    inside every piece, 1 - 1e-12 and, where g(1) is finite, the sphere; a
+    partial table stops at its cover."""
+    radii = [0.0, 1e-8, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.8, 0.9, 0.95, 0.99, 0.999,
+             1.0 - 1e-12]
+    r = np.array(radii)
+    triples = np.stack([r, np.arctanh(r), (1.0 - r) * (1.0 + r)], axis=1)
+    arcs = np.array([0.5, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0])
+    rows = np.stack([np.tanh(arcs), arcs, 1.0 / np.cosh(arcs) ** 2], axis=1)
+    triples = np.concatenate([triples, rows])
+    if w.g1 is not None:
+        triples = np.concatenate([triples, [[1.0, np.inf, 0.0]]])
+    if w.kind == "table":
+        triples = triples[triples[:, 0] <= w.params["r"][-1]]
+    return triples.T
+
+
+def weight_record(w):
+    r, s, om = golden_grid(w)
+    with np.errstate(all="ignore"):
+        values = {
+            "g": wt.eval_g_rs(w, r, s),
+            "G": wt.eval_G_rs(w, r, s),
+            "G_om": wt.eval_G_rs(w, r, s, om),
+        }
+    return {k: [float.hex(float(x)) for x in v] for k, v in values.items()}
+
+
+@pytest.mark.parametrize("name", sorted(golden_weights()))
+def test_weight_values_bit_identical(name):
+    # recorded before each kind's g and G moved into its factory
+    expected = json.loads(WEIGHT_GOLDEN.read_text())[name]
+    assert weight_record(golden_weights()[name]) == expected
