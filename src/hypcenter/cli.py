@@ -26,7 +26,7 @@ from .energy import EnergyContext, energy_and_field, energy_context, field_V
 from .errors import DivergentIterates, HypcenterError, SchemaError
 from .geometry import fold_map, geodesic, geodesic_point, halfspace, mobius_map, point
 from .measures import atomic_measure, pushforward
-from .solver import SolveOptions, SolveResult, Strategy, UniquenessKind, solve_center
+from .solver import SolveOptions, SolveResult, UniquenessKind, solve_center
 from .weights import weight_from_config
 
 EXIT_OK = 0
@@ -125,8 +125,6 @@ def parse_options(doc: Mapping, args: argparse.Namespace) -> SolveOptions:
              "multistart": args.multistart, "strategy": args.strategy}
     merged.update((key, flag) for key, flag in flags.items() if flag is not None)
     try:
-        if "strategy" in merged:
-            merged["strategy"] = Strategy(merged["strategy"])
         return SolveOptions(**merged)
     except (TypeError, ValueError, HypcenterError) as exc:
         raise SchemaError(f"bad solve options: {exc}") from exc
@@ -322,7 +320,7 @@ def run_verify(args: argparse.Namespace) -> int:
             "label": "zero_set[two-zeros]",
             "kind": "zero_set_1d",
             "worst_case": float(len(zeros.points)),
-            "samples": 2001,
+            "samples": oracle.ZERO_SCAN_POINTS,
             "pass": len(half) == 2 and not zeros.intervals,
             "tolerance": 0.0,
             "seed": seed,
@@ -335,7 +333,7 @@ def run_verify(args: argparse.Namespace) -> int:
             "label": "zero_set[flat-interval]",
             "kind": "zero_set_1d",
             "worst_case": float(len(zeros.intervals)),
-            "samples": 2001,
+            "samples": oracle.ZERO_SCAN_POINTS,
             "pass": len(zeros.intervals) == 1,
             "tolerance": 0.0,
             "seed": seed,

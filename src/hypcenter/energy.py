@@ -32,6 +32,7 @@ from .errors import (
 from .geometry import (
     BallPoint,
     MobiusBatch,
+    _single_batch,
     mobius_batch,
     one_minus_sq_norm,
     point,
@@ -224,15 +225,9 @@ def kernel_K(ctx: EnergyContext, x: XLike, y: BallPoint) -> float:
         if sq < 1e-300:
             raise BusemannSingularity("kernel diverges at the antipode of y")
         return 0.5 * (math.log(sq) - math.log(omx))
-    rows = (
-        yp.coords[None, :],
-        np.array([float(yp.coords @ yp.coords)]),
-        np.array([one_minus_sq_norm(yp.coords)]),
-        np.array([False]),
-    )
     g_img, g_y = (
         float(eval_G_rs(ctx.weight, b.radii, b.arclengths, b.one_minus_r2)[0])
-        for b in (mobius_batch(at, *rows) for at in (xv, np.zeros(ctx.dimension)))
+        for b in (_single_batch(at, yp) for at in (xv, np.zeros(ctx.dimension)))
     )
     return g_img - g_y
 

@@ -205,11 +205,12 @@ def mobius_batch(
     return MobiusBatch(images, radii, arclengths, one_minus_r2, dens)
 
 
-def _single_batch(x: BallPoint, y: BallPoint) -> MobiusBatch:
+def _single_batch(x: np.ndarray, y: BallPoint) -> MobiusBatch:
+    """mobius_batch at x on the single row y, with y's radial metadata."""
     yy = float(y.coords @ y.coords)
     omy = 0.0 if y.is_boundary else one_minus_sq_norm(y.coords)
     return mobius_batch(
-        x.coords,
+        x,
         y.coords[None, :],
         np.array([yy]),
         np.array([omy]),
@@ -226,8 +227,7 @@ def mobius(x: PointLike, y: PointLike) -> BallPoint:
     yp = point(y)
     if xp.dim != yp.dim:
         raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
-    batch = _single_batch(xp, yp)
-    img = batch.images[0]
+    img = _single_batch(xp.coords, yp).images[0]
     if yp.is_boundary:
         return BallPoint(img / np.linalg.norm(img), Locus.BOUNDARY)
     return _interior(img)
@@ -279,8 +279,7 @@ def hyp_distance(x: PointLike, y: PointLike) -> float:
     yp = interior_point(point(y))
     if xp.dim != yp.dim:
         raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
-    neg_x = BallPoint(-xp.coords, Locus.INTERIOR)
-    return float(_single_batch(neg_x, yp).arclengths[0])
+    return float(_single_batch(-xp.coords, yp).arclengths[0])
 
 
 def inverse_exp(x: PointLike, y: PointLike) -> np.ndarray:
@@ -294,8 +293,7 @@ def inverse_exp(x: PointLike, y: PointLike) -> np.ndarray:
         raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
     if np.array_equal(xp.coords, yp.coords):
         return np.zeros(xp.dim)
-    neg_x = BallPoint(-xp.coords, Locus.INTERIOR)
-    batch = _single_batch(neg_x, yp)
+    batch = _single_batch(-xp.coords, yp)
     w = batch.images[0]
     nw = float(np.linalg.norm(w))
     if nw == 0.0:
@@ -396,30 +394,40 @@ def halfspace(p: Sequence[float], t: float) -> Halfspace:
     return Halfspace(pv, float(t))
 
 
-def _pull_back(h: Halfspace, y: PointLike) -> np.ndarray:
-    yp = interior_point(point(y))
-    shift = BallPoint(-h.t * h.p, Locus.INTERIOR)
-    return mobius(shift, yp).coords
+def _pull_back(h: Halfspace, y: BallPoint) -> BallPoint:
+    """T_{-tp}(y): the halfspace moved back to {y : y.p <= 0}; keeps y's locus."""
+    return mobius(BallPoint(-h.t * h.p, Locus.INTERIOR), y)
+
+
+def _reflect_pulled(h: Halfspace, w: BallPoint) -> BallPoint:
+    """Reflect a pulled-back point across {y.p = 0} and translate it back."""
+    c = w.coords - 2.0 * float(w.coords @ h.p) * h.p
+    c = BallPoint(c, Locus.BOUNDARY) if w.is_boundary else _interior(c)
+    return mobius(BallPoint(h.t * h.p, Locus.INTERIOR), c)
 
 
 def halfspace_contains(h: Halfspace, y: PointLike, tol: float = 0.0) -> bool:
-    """Whether y lies in the closed halfball H(p, t)."""
-    return float(_pull_back(h, y) @ h.p) <= tol
+    """Whether y lies in the closed halfball H(p, t) or on its sphere cap."""
+    return float(_pull_back(h, point(y)).coords @ h.p) <= tol
 
 
 def reflect(h: Halfspace, y: PointLike) -> BallPoint:
-    """Hyperbolic reflection across the wall of H(p, t), by conjugation."""
-    w = _pull_back(h, y)
-    w = w - 2.0 * float(w @ h.p) * h.p
-    return mobius(BallPoint(h.t * h.p, Locus.INTERIOR), _interior(w))
+    """Hyperbolic reflection across the wall of H(p, t), by conjugation.
+
+    An isometry of the closed ball: sphere points stay on the sphere."""
+    return _reflect_pulled(h, _pull_back(h, point(y)))
 
 
 def fold(h: Halfspace, y: PointLike) -> BallPoint:
-    """Fold map onto H: identity inside, hyperbolic reflection outside."""
-    yp = interior_point(point(y))
-    if halfspace_contains(h, yp):
+    """Fold map onto H: identity inside, hyperbolic reflection outside.
+
+    One pull-back per point, shared by the membership test and the
+    reflection; sphere points fold onto the sphere."""
+    yp = point(y)
+    w = _pull_back(h, yp)
+    if float(w.coords @ h.p) <= 0.0:
         return yp
-    return reflect(h, yp)
+    return _reflect_pulled(h, w)
 
 
 def fold_map(h: Halfspace) -> ArrayMap:
@@ -428,7 +436,7 @@ def fold_map(h: Halfspace) -> ArrayMap:
     def apply(locations: np.ndarray, boundary: np.ndarray):
         loci = [Locus.BOUNDARY if b else Locus.INTERIOR for b in boundary.tolist()]
         images = [fold(h, BallPoint(y, lc)).coords for y, lc in zip(locations, loci)]
-        return np.array(images), boundary.copy()  # fold rejects sphere atoms
+        return np.array(images), boundary.copy()
 
     return apply
 

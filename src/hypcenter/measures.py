@@ -31,7 +31,6 @@ from .errors import (
 from .geometry import (
     BOUNDARY_SNAP_TOL,
     ArrayMap,
-    Geodesic,
     geodesic_through,
     mobius_map,
     one_minus_sq_norms,
@@ -192,10 +191,8 @@ class ValidationReport:
     total: float
     abs_total: float
     support: Support
-    max_radius: float
     boundary_pointmass_ok: bool
     geodesic_support: GeodesicSupport
-    geodesic: Geodesic | None
     signed: bool
 
 
@@ -235,56 +232,44 @@ def validate(measure: AtomicMeasure) -> ValidationReport:
     bd = measure.boundary_mask
     if np.all(bd):
         support = Support.SPHERE_ONLY
-        max_radius = 1.0
     elif np.any(bd):
         support = Support.TOUCHES_BOUNDARY
-        max_radius = 1.0
     else:
         support = Support.COMPACT_INTERIOR
-        max_radius = float(np.linalg.norm(measure.locations, axis=1).max())
 
     locs, agg_w, agg_bd = _aggregate(measure)
-    pointmass_ok = bool(np.all(agg_w[agg_bd] < 0.5 * total))
-
-    geodesic_support, geo = _geodesic_support(measure, locs, agg_bd)
     return ValidationReport(
         total=total,
         abs_total=abs_total,
         support=support,
-        max_radius=max_radius,
-        boundary_pointmass_ok=pointmass_ok,
-        geodesic_support=geodesic_support,
-        geodesic=geo,
+        boundary_pointmass_ok=bool(np.all(agg_w[agg_bd] < 0.5 * total)),
+        geodesic_support=_geodesic_support(locs, agg_bd),
         signed=signed,
     )
 
 
-def _geodesic_support(
-    measure: AtomicMeasure, locs: np.ndarray, bd: np.ndarray
-) -> tuple[GeodesicSupport, Geodesic | None]:
-    any_boundary = bool(np.any(bd))
-    closure = (
-        GeodesicSupport.IN_GEODESIC_CLOSURE
-        if any_boundary
-        else GeodesicSupport.IN_GEODESIC
-    )
-    if measure.dimension == 1:
-        return closure, None
-    if len(locs) == 1:
-        anchor = locs[0] if np.linalg.norm(locs[0]) > 1e-12 else np.eye(
-            measure.dimension
-        )[0] * 0.5
-        geo = geodesic_through(point(np.zeros(measure.dimension)), point(anchor))
-        return closure, geo
-    geo = geodesic_through(point(locs[0]), point(locs[1]))
-    # batched off_geodesic_residual; the third atom alone settles generic supports
-    for rows in (slice(2, 3), slice(3, None)):
-        if len(locs[rows]):
+def _geodesic_support(locs: np.ndarray, bd: np.ndarray) -> GeodesicSupport:
+    """Whether the aggregated atoms lie on one geodesic (or its closure).
+
+    The geodesic runs through the first atom and the atom euclidean-farthest
+    from it: no nearly coincident pair defines it unless all atoms are that close.
+    """
+    on = GeodesicSupport.IN_GEODESIC
+    if np.any(bd):
+        on = GeodesicSupport.IN_GEODESIC_CLOSURE
+    if locs.shape[1] == 1 or len(locs) <= 2:
+        return on
+    far = int(np.argmax(np.linalg.norm(locs - locs[0], axis=1)))
+    geo = geodesic_through(point(locs[0]), point(locs[far]))
+    rest = np.delete(np.arange(len(locs)), [0, far])
+    # batched off_geodesic_residual; one atom alone settles generic supports
+    for rows in (rest[:1], rest[1:]):
+        if len(rows):
             w, _ = mobius_map(-geo.base.coords)(locs[rows], bd[rows])
             resid = np.linalg.norm(w - np.outer(w @ geo.dir, geo.dir), axis=1)
             if not np.all(resid <= GEODESIC_MEMBER_TOL):
-                return GeodesicSupport.NOT_IN_GEODESIC, None
-    return closure, geo
+                return GeodesicSupport.NOT_IN_GEODESIC
+    return on
 
 
 def pushforward(measure: AtomicMeasure, mapping: ArrayMap) -> AtomicMeasure:

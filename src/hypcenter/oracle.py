@@ -65,6 +65,8 @@ class OracleTolerances:
 
 
 TOL = OracleTolerances()
+# grid points of the 1-d zero scans, over s in [-zero_grid_span, zero_grid_span]
+ZERO_SCAN_POINTS = 2001
 
 
 class ScanKind(Enum):
@@ -134,12 +136,10 @@ def _atomwise_energy(ctx: EnergyContext, x: np.ndarray) -> float:
     return math.fsum(terms)
 
 
-def gradient_check(
-    ctx: EnergyContext, samples: int = 1000, seed: int = 0, tol: OracleTolerances = TOL
-) -> ScanReport:
+def gradient_check(ctx: EnergyContext, samples: int = 1000, seed: int = 0) -> ScanReport:
     """Finite differences of the atomwise energy against energy_gradient."""
     rng = np.random.default_rng(seed)
-    h = tol.gradient_step
+    h = TOL.gradient_step
     worst = 0.0
     worst_at = np.zeros(ctx.dimension)
     for _ in range(samples):
@@ -159,8 +159,8 @@ def gradient_check(
         kind=ScanKind.GRADIENT_CHECK,
         worst_case=worst,
         samples=samples,
-        passed=worst < tol.gradient_rel,
-        tolerance=tol.gradient_rel,
+        passed=worst < TOL.gradient_rel,
+        tolerance=TOL.gradient_rel,
         seed=seed,
         details=(f"worst at x={worst_at.tolist()}",),
     )
@@ -171,7 +171,6 @@ def convexity_scan(
     geodesics: int = 20,
     steps: int = 15,
     seed: int = 0,
-    tol: OracleTolerances = TOL,
 ) -> ScanReport:
     """Second differences of the energy in arclength along random geodesics.
 
@@ -179,7 +178,7 @@ def convexity_scan(
     also records whether strictness held (minimum above the strict margin).
     """
     rng = np.random.default_rng(seed)
-    h = tol.convexity_step
+    h = TOL.convexity_step
     lowest = math.inf
     count = 0
     for _ in range(geodesics):
@@ -194,20 +193,20 @@ def convexity_scan(
             second = (vals[0] - 2.0 * vals[1] + vals[2]) / h**2
             lowest = min(lowest, second)
             count += 1
-    strict = lowest > tol.convexity_strict
+    strict = lowest > TOL.convexity_strict
     return ScanReport(
         kind=ScanKind.CONVEXITY_SCAN,
         worst_case=lowest,
         samples=count,
-        passed=lowest >= tol.convexity_floor,
-        tolerance=tol.convexity_floor,
+        passed=lowest >= TOL.convexity_floor,
+        tolerance=TOL.convexity_floor,
         seed=seed,
         details=(f"strict={strict}",),
     )
 
 
 def kernel_linearity_check(
-    ctx: EnergyContext, samples: int = 50, seed: int = 0, tol: OracleTolerances = TOL
+    ctx: EnergyContext, samples: int = 50, seed: int = 0
 ) -> ScanReport:
     """Sphere-kernel second differences along geodesics aimed at the antipode.
 
@@ -215,7 +214,7 @@ def kernel_linearity_check(
     linear in arclength; every other direction is strictly convex.
     """
     rng = np.random.default_rng(seed)
-    h = tol.convexity_step
+    h = TOL.convexity_step
     worst_linear = 0.0
     lowest_generic = math.inf
     for _ in range(samples):
@@ -238,13 +237,13 @@ def kernel_linearity_check(
                 for k in (-1, 0, 1)
             ]
             lowest_generic = min(lowest_generic, (vals[0] - 2 * vals[1] + vals[2]) / h**2)
-    passed = worst_linear < tol.linear_abs and lowest_generic > tol.away_strict
+    passed = worst_linear < TOL.linear_abs and lowest_generic > TOL.away_strict
     return ScanReport(
         kind=ScanKind.CONVEXITY_SCAN,
         worst_case=worst_linear,
         samples=samples,
         passed=passed,
-        tolerance=tol.linear_abs,
+        tolerance=TOL.linear_abs,
         seed=seed,
         details=(f"lowest generic second difference {lowest_generic:.3e}",),
     )
@@ -254,7 +253,6 @@ def cocycle_check(
     samples: int = 1000,
     seed: int = 0,
     dimensions: Sequence[int] = (2, 3),
-    tol: OracleTolerances = TOL,
 ) -> ScanReport:
     """Mobius action identity for the sphere kernel on random triples."""
     rng = np.random.default_rng(seed)
@@ -277,24 +275,21 @@ def cocycle_check(
         kind=ScanKind.COCYCLE_CHECK,
         worst_case=worst,
         samples=total,
-        passed=worst < tol.cocycle_abs,
-        tolerance=tol.cocycle_abs,
+        passed=worst < TOL.cocycle_abs,
+        tolerance=TOL.cocycle_abs,
         seed=seed,
     )
 
 
 def boundary_continuity_check(
-    weight: RadialWeight,
-    x: Sequence[float],
-    y_hat: Sequence[float],
-    eps_values: Sequence[float] = tuple(10.0**-k for k in range(2, 9)),
-    tol: OracleTolerances = TOL,
+    weight: RadialWeight, x: Sequence[float], y_hat: Sequence[float]
 ) -> ScanReport:
     """Interior kernel branch converging to the sphere branch as |y| -> 1.
 
-    Uses the boundary-normalized weight; the gap must shrink monotonically
-    and end below the final-gap tolerance.
+    Uses the boundary-normalized weight at |y| = 1 - 10^-k, k = 2..8; the gap
+    must shrink monotonically and end below the final-gap tolerance.
     """
+    eps_values = [10.0**-k for k in range(2, 9)]
     w = normalized_for_boundary(weight)
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y_hat, dtype=float)
@@ -321,20 +316,18 @@ def boundary_continuity_check(
         monotone = all(
             a > b or max(a, b) < floor for a, b in zip(gaps, gaps[1:])
         )
-    passed = monotone and gaps[-1] < tol.continuity_final_gap
+    passed = monotone and gaps[-1] < TOL.continuity_final_gap
     return ScanReport(
         kind=ScanKind.CONTINUITY_CHECK,
         worst_case=gaps[-1],
         samples=len(gaps),
         passed=passed,
-        tolerance=tol.continuity_final_gap,
+        tolerance=TOL.continuity_final_gap,
         details=tuple(f"eps={e:.0e} gap={g:.3e}" for e, g in zip(eps_values, gaps)),
     )
 
 
-def distance_convexity_check(
-    samples: int = 40, seed: int = 0, tol: OracleTolerances = TOL
-) -> ScanReport:
+def distance_convexity_check(samples: int = 40, seed: int = 0) -> ScanReport:
     """Convexity of the distance to the origin in hyperbolic arclength.
 
     Off-origin geodesics: strictly positive second differences.  Lines through
@@ -343,7 +336,7 @@ def distance_convexity_check(
     matches its closed form.
     """
     rng = np.random.default_rng(seed)
-    h = tol.convexity_step
+    h = TOL.convexity_step
     lowest = math.inf
     checked = 0
     while checked < samples:
@@ -372,7 +365,7 @@ def distance_convexity_check(
             for k in (-1, 0, 1)
         ]
         line_worst = max(line_worst, abs((vals[0] - 2.0 * vals[1] + vals[2]) / h**2))
-    line_ok = line_worst < tol.distance_line_abs
+    line_ok = line_worst < TOL.distance_line_abs
 
     # circular-arc geodesic with a = sqrt(2), b = 1
     a, b = math.sqrt(2.0), 1.0
@@ -391,7 +384,7 @@ def distance_convexity_check(
     for t in np.linspace(-0.8 * t_max, 0.8 * t_max, 9):
         fd = (arc_norm(t + h) - 2.0 * arc_norm(t) + arc_norm(t - h)) / h**2
         arc_worst = max(arc_worst, abs(fd - closed_form(t)) / abs(closed_form(t)))
-    arc_ok = arc_worst < tol.arc_closed_form_rel
+    arc_ok = arc_worst < TOL.arc_closed_form_rel
 
     return ScanReport(
         kind=ScanKind.DISTANCE_CONVEXITY,
@@ -425,7 +418,7 @@ def _quad_G(weight: RadialWeight, s: float) -> float:
 
 
 def antiderivative_check(
-    weight: RadialWeight, samples: int = 200, seed: int = 0, tol: OracleTolerances = TOL
+    weight: RadialWeight, samples: int = 200, seed: int = 0
 ) -> ScanReport:
     """eval_G_rs against quadrature of g at random arclengths in [0, 8], or up
     to a table's last knot; errors are relative to max(|G|, 1), since quad's
@@ -440,8 +433,8 @@ def antiderivative_check(
         kind=ScanKind.ANTIDERIVATIVE_CHECK,
         worst_case=float(errs[k]),
         samples=samples,
-        passed=errs[k] < tol.antiderivative_rel,
-        tolerance=tol.antiderivative_rel,
+        passed=errs[k] < TOL.antiderivative_rel,
+        tolerance=TOL.antiderivative_rel,
         seed=seed,
         details=(f"{weight.kind}: worst at s={arclengths[k]!r}",),
     )
@@ -456,12 +449,10 @@ class ZeroSet:
 
 
 def brute_force_zeros_along_line(
-    ctx: EnergyContext,
-    direction: Sequence[float],
-    resolution: int = 2001,
-    tol: OracleTolerances = TOL,
+    ctx: EnergyContext, direction: Sequence[float]
 ) -> ZeroSet:
-    """Scan V . dir on x = tanh(s) dir, bracketing sign changes by bisection.
+    """Scan V . dir on x = tanh(s) dir at ZERO_SCAN_POINTS arclengths,
+    bracketing sign changes by bisection.
 
     Grid points where |V . dir| stays below the flat tolerance merge into
     zero intervals (reported in x); isolated sign changes refine to points.
@@ -472,22 +463,22 @@ def brute_force_zeros_along_line(
     def f(s: float) -> float:
         return float(field_V(ctx, math.tanh(s) * d) @ d)
 
-    S = tol.zero_grid_span
-    grid = np.linspace(-S, S, resolution)
+    S = TOL.zero_grid_span
+    grid = np.linspace(-S, S, ZERO_SCAN_POINTS)
     vals = np.array([f(s) for s in grid])
-    flat = np.abs(vals) < tol.zero_flat_tol
+    flat = np.abs(vals) < TOL.zero_flat_tol
 
     points: list[float] = []
     intervals: list[tuple[float, float]] = []
     # maximal flat runs: single grid points are point zeros, longer runs are
     # intervals
     i = 0
-    while i < resolution:
+    while i < ZERO_SCAN_POINTS:
         if not flat[i]:
             i += 1
             continue
         j = i
-        while j + 1 < resolution and flat[j + 1]:
+        while j + 1 < ZERO_SCAN_POINTS and flat[j + 1]:
             j += 1
         if j > i:
             intervals.append((math.tanh(grid[i]), math.tanh(grid[j])))
@@ -496,14 +487,14 @@ def brute_force_zeros_along_line(
         i = j + 1
 
     # sign changes between adjacent non-flat samples
-    for i in range(resolution - 1):
+    for i in range(ZERO_SCAN_POINTS - 1):
         if flat[i] or flat[i + 1]:
             continue
         if (vals[i] > 0) == (vals[i + 1] > 0):
             continue
         lo, hi = grid[i], grid[i + 1]
         flo = vals[i]
-        while math.tanh(hi) - math.tanh(lo) > tol.zero_bisect_tol:
+        while math.tanh(hi) - math.tanh(lo) > TOL.zero_bisect_tol:
             mid = 0.5 * (lo + hi)
             fm = f(mid)
             if fm == 0.0:
@@ -518,20 +509,17 @@ def brute_force_zeros_along_line(
     return ZeroSet(tuple(sorted(points)), tuple(intervals))
 
 
-def brute_force_zeros_1d(
-    ctx: EnergyContext, resolution: int = 2001, tol: OracleTolerances = TOL
-) -> ZeroSet:
+def brute_force_zeros_1d(ctx: EnergyContext) -> ZeroSet:
     """One-dimensional zero scan of V over x = tanh(s), s in [-S, S]."""
     if ctx.dimension != 1:
         raise DomainError("1-d zero scan needs a 1-d context")
-    return brute_force_zeros_along_line(ctx, [1.0], resolution, tol)
+    return brute_force_zeros_along_line(ctx, [1.0])
 
 
 def brute_force_zeros_2d(
     ctx: EnergyContext,
     resolution: int = 200,
     span: float = 3.0,
-    tol: OracleTolerances = TOL,
 ) -> tuple[list[np.ndarray], ScanReport]:
     """Sign-change cell scan on a tanh-warped grid with damped refinement.
 
@@ -557,7 +545,7 @@ def brute_force_zeros_2d(
         for _ in range(60):
             v = field_V(ctx, x)
             nv = float(np.linalg.norm(v))
-            if nv < tol.refine_tol:
+            if nv < TOL.refine_tol:
                 return x
             h = 1e-6
             jac = np.empty((2, 2))
@@ -603,8 +591,8 @@ def brute_force_zeros_2d(
         kind=ScanKind.ZERO_SET_2D,
         worst_case=worst,
         samples=resolution * resolution,
-        passed=worst < tol.refine_tol,
-        tolerance=tol.refine_tol,
+        passed=worst < TOL.refine_tol,
+        tolerance=TOL.refine_tol,
         details=tuple(str(z.tolist()) for z in zeros),
     )
     return zeros, report

@@ -107,6 +107,10 @@ class SolveOptions:
             raise DomainError("max_iters must be >= 1")
         if not isinstance(self.multistart, numbers.Integral):
             raise DomainError("multistart must be an integer")
+        try:  # accepts a Strategy or its name
+            object.__setattr__(self, "strategy", Strategy(self.strategy))
+        except ValueError as exc:
+            raise DomainError(f"unknown strategy {self.strategy!r}") from exc
         if self.initial is not None:
             interior_point(self.initial)
 
@@ -413,22 +417,21 @@ def measure_delta(base: AtomicMeasure, other: AtomicMeasure) -> float:
 
 
 def continuity_probe(
-    ctx: EnergyContext,
-    perturbations: Sequence[AtomicMeasure],
-    opts: SolveOptions = SolveOptions(),
+    ctx: EnergyContext, perturbations: Sequence[AtomicMeasure]
 ) -> list[tuple[float, float]]:
-    """Solve the base and each perturbed measure; report displacements.
+    """Solve the base and each perturbed measure with default options; report
+    displacements.
 
     Returns (perturbation size, hyperbolic displacement of the center) per
     perturbation, in input order.  Under the continuous-dependence hypotheses
     the displacement shrinks with the perturbation; families escaping every
     compact subset of the ball are exactly the documented failure mode.
     """
-    base = solve_center(ctx, opts)
+    base = solve_center(ctx)
     out = []
     for mu in perturbations:
         pert_ctx = energy_context(ctx.weight, mu)
-        moved = solve_center(pert_ctx, opts)
+        moved = solve_center(pert_ctx)
         out.append(
             (
                 measure_delta(ctx.measure, mu),

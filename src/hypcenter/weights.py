@@ -312,6 +312,8 @@ def clamped_linear(c: float) -> RadialWeight:
 
     def G(r, s, om):
         below = -0.5 * np.log(om)
+        if c == 1.0:  # the plateau starts on the sphere: identity's G
+            return below
         g_c = -0.5 * math.log1p(-c * c)
         return np.where(r <= c, below, g_c + c * (s - math.atanh(c)))
 

@@ -276,6 +276,15 @@ class TestFold:
         report = json.loads(open(out).read())
         assert report["orthogonality_residual"] < 1e-10 * 2.0
 
+    def test_sphere_atoms_fold_onto_sphere(self, tmp_path):
+        h = {"p": [0.6, 0.8], "t": 0.15}
+        job = write_job(tmp_path, dict(SPHERE3, halfspace=h))
+        out = str(tmp_path / "fold.json")
+        assert run(["fold", "--input", job, "--output", out]) == 0
+        report = json.loads(open(out).read())
+        assert report["converged"] is True
+        assert report["orthogonality_residual"] < 1e-9
+
     def test_missing_halfspace(self, tmp_path):
         job = write_job(tmp_path, SPHERE3)
         assert run(["fold", "--input", job]) == 1
@@ -285,6 +294,14 @@ class TestFold:
             job = write_job(tmp_path, dict(SPHERE3, halfspace=halfspace))
             assert run(["fold", "--input", job]) == 1
             assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_clamped_linear_plateau_at_one(tmp_path):
+    doc = dict(SPHERE3, weight={"kind": "clamped_linear", "params": {"c": 1.0}})
+    doc["atoms"] = doc["atoms"] + [{"x": [0.2, -0.1], "w": 0.5}]
+    out = str(tmp_path / "report.json")
+    assert run(["center", "--input", write_job(tmp_path, doc), "--output", out]) == 0
+    assert json.loads(open(out).read())["converged"] is True
 
 
 class TestReproduce:

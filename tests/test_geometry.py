@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypcenter import geometry as geo
+from hypcenter import measures as ms
+from hypcenter import weights as wt
+from hypcenter.energy import energy_context, kernel_K
 from hypcenter.errors import (
     DegenerateDirection,
     DimensionMismatch,
     DomainError,
+    HypcenterError,
 )
 
 from conftest import ball_pair, ball_vector, unit_vector
@@ -284,6 +290,73 @@ class TestHalfspace:
             geo.halfspace([1.0, 0.0], 1.0)
 
 
+def random_halfspace(n):
+    p = RNG.normal(size=n)
+    return geo.halfspace(p / np.linalg.norm(p), RNG.uniform(-0.8, 0.8))
+
+
+def random_sphere(n):
+    u = RNG.normal(size=n)
+    return geo.point(u / np.linalg.norm(u))
+
+
+class TestFoldOnSphere:
+    """The fold maps are isometries of the closed ball: the sphere included."""
+
+    def test_sphere_images_on_sphere_and_in_halfspace(self):
+        folded = 0
+        for _ in range(300):
+            n = int(RNG.integers(2, 5))
+            h = random_halfspace(n)
+            u = random_sphere(n)
+            img = geo.fold(h, u)
+            assert img.is_boundary
+            assert abs(float(np.linalg.norm(img.coords)) - 1.0) < 1e-15
+            assert geo.halfspace_contains(h, img, tol=1e-12)
+            folded += not geo.halfspace_contains(h, u)
+        assert folded > 50
+
+    def test_continuous_up_to_the_sphere(self):
+        for _ in range(200):
+            n = int(RNG.integers(2, 5))
+            h = random_halfspace(n)
+            u = random_sphere(n)
+            near = geo.BallPoint((1.0 - 1e-10) * u.coords, geo.Locus.INTERIOR)
+            gap = geo.fold(h, u).coords - geo.fold(h, near).coords
+            assert float(np.linalg.norm(gap)) < 1e-8
+
+    def test_one_pull_back_per_point(self, monkeypatch):
+        calls = []
+        original = geo.mobius_batch
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(geo, "mobius_batch", counting)
+        outside = 0
+        for _ in range(100):
+            n = int(RNG.integers(2, 4))
+            h = random_halfspace(n)
+            y = random_ball(n) if RNG.uniform() < 0.7 else random_sphere(n)
+            inside = geo.halfspace_contains(h, y)
+            calls.clear()
+            geo.fold(h, y)
+            assert len(calls) <= (1 if inside else 2)
+            outside += not inside
+        assert outside > 20
+
+    def test_fold_map_keeps_sphere_rows(self):
+        h = geo.halfspace([1.0, 0.0], 0.2)
+        locations = np.array([[1.0, 0.0], [0.6, -0.8], [-0.3, 0.2], [0.7, 0.1]])
+        boundary = np.array([True, True, False, False])
+        images, bd = geo.fold_map(h)(locations, boundary)
+        np.testing.assert_array_equal(bd, boundary)
+        np.testing.assert_allclose(np.linalg.norm(images[:2], axis=1), 1.0, atol=1e-15)
+        for y in images:
+            assert geo.halfspace_contains(h, y, tol=1e-12)
+
+
 class TestDistanceConvexityAlongGeodesics:
     """Second differences of d(., 0) in hyperbolic arclength."""
 
@@ -332,3 +405,84 @@ def test_geodesic_direction_sign_symmetric(n, data):
     p1 = geo.geodesic_point(g1, 0.4)
     p2 = geo.geodesic_point(g2, -0.4)
     assert np.linalg.norm(p1.coords - p2.coords) < 1e-14
+
+
+GEOMETRY_GOLDEN = Path(__file__).parent / "golden" / "geometry_values.json"
+GOLDEN_RADII = (0.0, 0.3, 0.75, 0.99, 1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-15)
+CHART_TS = (-(1.0 - 1e-15), -0.6, 0.0, 0.3, 0.999, 1.0 - 1e-10)
+
+
+def _hex_of(value):
+    """One call's result as a string of float.hex values (or the error raised)."""
+    if isinstance(value, geo.BallPoint):
+        return " ".join([value.locus.value, *map(float.hex, value.coords.tolist())])
+    if isinstance(value, tuple):  # an ArrayMap's (images, boundary)
+        images, bd = value
+        return " ".join([*map(float.hex, images.ravel().tolist()), str(bd.tolist())])
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    return " ".join(map(float.hex, np.atleast_1d(value).astype(float).tolist()))
+
+
+def _call(f, *args):
+    try:
+        return _hex_of(f(*args))
+    except HypcenterError as exc:
+        return "!" + type(exc).__name__
+
+
+def geometry_record(n):
+    """Values of every geometry primitive, and of kernel_K, on fixed inputs in
+    dimension n: interior points out to 1e-15 from the sphere, built as
+    BallPoints so that they are not snapped, and sphere points."""
+    rng = np.random.default_rng(100 + n)
+
+    def unit():
+        v = rng.normal(size=n)
+        return v / np.linalg.norm(v)
+
+    inner = [geo.BallPoint(r * unit(), geo.Locus.INTERIOR) for r in GOLDEN_RADII]
+    inner.append(geo.BallPoint(rng.uniform(0.2, 0.6) * unit(), geo.Locus.INTERIOR))
+    ys = inner + [geo.point(unit()) for _ in range(2)]
+    halfspaces = [geo.halfspace(unit(), t) for t in (-0.9, 0.0, 0.5, 0.99)]
+    e1 = np.eye(n)[0]
+    boundary_ctx = energy_context(
+        wt.identity(), ms.atomic_measure([(e1, 1.0), (-0.3 * e1, 0.5)])
+    )
+    interior_ctx = energy_context(
+        wt.arctanh_power(2.0), ms.atomic_measure([(0.3 * e1, 1.0), (-0.2 * e1, 0.7)])
+    )
+    locations = np.array([y.coords for y in ys])
+    boundary = np.array([y.is_boundary for y in ys])
+    inner_locations = locations[~boundary]
+    out = {}
+    for name, f, args in [
+        ("mobius", geo.mobius, [(x, y) for x in inner for y in ys]),
+        ("mobius_inverse", geo.mobius_inverse, [(x, y) for x in inner for y in ys]),
+        ("hyp_distance", geo.hyp_distance, [(x, y) for x in inner for y in inner]),
+        ("inverse_exp", geo.inverse_exp, [(x, y) for x in inner for y in inner]),
+        ("geodesic_point", geo.geodesic_point, [
+            (geo.geodesic(b, unit()), t) for b in inner[:4] for t in CHART_TS
+        ]),
+        ("reflect", geo.reflect, [(h, y) for h in halfspaces for y in inner]),
+        ("fold", geo.fold, [(h, y) for h in halfspaces for y in inner]),
+        ("halfspace_contains", geo.halfspace_contains,
+         [(h, y) for h in halfspaces for y in inner]),
+        ("kernel_K[boundary_ctx]", lambda x, y: kernel_K(boundary_ctx, x, y),
+         [(x.coords, y) for x in inner for y in ys]),
+        ("kernel_K[interior_ctx]", lambda x, y: kernel_K(interior_ctx, x, y),
+         [(x.coords, y) for x in inner for y in inner]),
+        ("mobius_map", lambda x: geo.mobius_map(x)(locations, boundary),
+         [(x,) for x in inner]),
+        ("fold_map", lambda h: geo.fold_map(h)(inner_locations, boundary[~boundary]),
+         [(h,) for h in halfspaces]),
+    ]:
+        out[name] = [_call(f, *a) for a in args]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_geometry_values_bit_identical(n):
+    # recorded before fold, kernel_K and hyp_distance shared one row prep
+    expected = json.loads(GEOMETRY_GOLDEN.read_text())[str(n)]
+    assert geometry_record(n) == expected

@@ -276,8 +276,10 @@ class TestValidate:
     def test_geodesic_support_matches_pointwise(self, n):
         # the batched membership test classifies as one on_geodesic per atom
         def pointwise(locs, bd):
-            g = geo.geodesic_through(geo.point(locs[0]), geo.point(locs[1]))
-            for z in locs[2:]:
+            # the pair validate uses: the first atom and the atom farthest from it
+            far = int(np.argmax([np.linalg.norm(z - locs[0]) for z in locs]))
+            g = geo.geodesic_through(geo.point(locs[0]), geo.point(locs[far]))
+            for z in np.delete(locs, [0, far], axis=0):
                 if not geo.on_geodesic(g, geo.point(z), tol=ms.GEODESIC_MEMBER_TOL):
                     return ms.GeodesicSupport.NOT_IN_GEODESIC
             return "on"
@@ -307,12 +309,21 @@ class TestValidate:
         for name, pts in sets.items():
             mu = ms.atomic_measure([(p, 1.0) for p in pts])
             locs, _, bd = ms._aggregate(mu)
-            got, _ = ms._geodesic_support(mu, locs, bd)
+            got = ms._geodesic_support(locs, bd)
             want = pointwise(locs, bd)
             on = got is not ms.GeodesicSupport.NOT_IN_GEODESIC
             assert on == (want == "on"), name
             seen.add(on)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("count", [3, 4])
+    def test_nearly_coincident_sphere_atoms(self, count):
+        # two sphere atoms 1e-8 rad apart define no geodesic of their own
+        pts = [[1.0, 0.0], [math.cos(1e-8), math.sin(1e-8)], [-0.6, 0.8], [0.0, -1.0]]
+        report = ms.validate(ms.atomic_measure([(p, 1.0) for p in pts[:count]]))
+        assert report.support is ms.Support.SPHERE_ONLY
+        if count == 4:
+            assert report.geodesic_support is ms.GeodesicSupport.NOT_IN_GEODESIC
 
     def test_pointmass_aggregates_split_atoms(self):
         y = [0.6, 0.8]

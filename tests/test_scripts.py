@@ -1,5 +1,8 @@
-"""The scripts under scripts/ run to completion on small inputs."""
+"""The scripts under scripts/ run to completion on small inputs, and the
+benchmark tracer's layer functions exist."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -28,3 +31,17 @@ def test_script_exits_zero(script, args):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_layers_importable():
+    # perfbench/tracer.py wraps these names; read its table without running it
+    source = (ROOT / "perfbench" / "tracer.py").read_text()
+    (layers,) = [
+        node.value for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
+    ]
+    for layer, names in ast.literal_eval(layers).items():
+        module = importlib.import_module(f"hypcenter.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

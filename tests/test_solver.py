@@ -11,7 +11,7 @@ from hypcenter import geometry as geo
 from hypcenter import measures as ms
 from hypcenter import solver as sv
 from hypcenter import weights as wt
-from hypcenter.errors import DivergentIterates
+from hypcenter.errors import DivergentIterates, DomainError
 
 TANH = math.tanh
 RNG = np.random.default_rng(5150)
@@ -128,6 +128,17 @@ class TestSolveCenter:
         )
         assert newton.converged
         assert geo.hyp_distance(descent.x_c, newton.x_c) < 1e-8
+
+    def test_strategy_by_name(self):
+        mu = sphere_measure(2, 9, np.random.default_rng(9))
+        ctx = en.energy_context(wt.identity(), mu)
+        by_name = sv.solve_center(ctx, sv.SolveOptions(strategy="newton"))
+        by_enum = sv.solve_center(ctx, NEWTON)
+        assert sv.SolveOptions(strategy="newton").strategy is NEWTON.strategy
+        assert by_name.iterations == by_enum.iterations
+        assert by_name.trace == by_enum.trace
+        with pytest.raises(DomainError):
+            sv.SolveOptions(strategy="bogus")
 
     def test_escaping_mass_center(self):
         for k in (2, 3):

@@ -223,6 +223,19 @@ class TestClosedFormG:
                 assert node.attr not in ("quad", "integrate")
 
 
+def test_clamped_linear_plateau_at_one_is_identity():
+    # c = 1 puts the plateau on the sphere: g and G are identity's inside
+    w, ident = wt.clamped_linear(1.0), wt.identity()
+    r, s, om = golden_grid(ident)
+    assert np.array_equal(wt.eval_g_rs(w, r, s), wt.eval_g_rs(ident, r, s))
+    inside = r < 1.0
+    assert np.array_equal(
+        wt.eval_G_rs(w, r[inside], s[inside], om[inside]),
+        wt.eval_G_rs(ident, r[inside], s[inside], om[inside]),
+    )
+    assert w.g1 == 1.0
+
+
 class TestNormalization:
     def test_identity_unchanged(self):
         w = wt.identity()
