@@ -19,7 +19,6 @@ from .geometry import (
     Geodesic,
     Halfspace,
     Locus,
-    arclength_s,
     fold,
     fold_map,
     geodesic,
@@ -67,7 +66,6 @@ from .weights import (
     clamped_linear,
     eval_G,
     eval_g,
-    eval_v,
     identity,
     log_damped,
     min_r_arctanh_inv,

@@ -24,7 +24,7 @@ import numpy as np
 from . import fixtures, oracle
 from .energy import EnergyContext, energy_and_field, energy_context, field_V
 from .errors import DivergentIterates, HypcenterError, SchemaError
-from .geometry import fold_map, geodesic, geodesic_point, halfspace, mobius_map, point
+from .geometry import fold_map, geodesic, geodesic_point, halfspace, mobius_map
 from .measures import atomic_measure, pushforward
 from .solver import SolveOptions, SolveResult, UniquenessKind, solve_center
 from .weights import weight_from_config
@@ -219,8 +219,8 @@ def run_energy(args: argparse.Namespace) -> int:
         raise SchemaError('"ray" must be an object')
     if ray.get("dir") is None:
         raise SchemaError('energy profiles need "ray": {"dir": [...]}')
+    base = ray.get("base", [0.0] * ctx.dimension)
     try:
-        base = point(ray.get("base", [0.0] * ctx.dimension))
         direction = np.array(ray["dir"], dtype=float)
         tau_max = float(ray.get("tau_max", 5.0))
         count = int(ray.get("count", 26))
@@ -315,31 +315,25 @@ def run_verify(args: argparse.Namespace) -> int:
 
     zeros = oracle.brute_force_zeros_1d(fixtures.two_zeros_context())
     half = [p for p in zeros.points if p >= 0.0]
-    scans.append(
-        {
-            "label": "zero_set[two-zeros]",
-            "kind": "zero_set_1d",
-            "worst_case": float(len(zeros.points)),
-            "samples": oracle.ZERO_SCAN_POINTS,
-            "pass": len(half) == 2 and not zeros.intervals,
-            "tolerance": 0.0,
-            "seed": seed,
-            "details": [f"points={list(zeros.points)}"],
-        }
-    )
+    add("zero_set[two-zeros]", oracle.ScanReport(
+        kind=oracle.ScanKind.ZERO_SET_1D,
+        worst_case=float(len(zeros.points)),
+        samples=oracle.ZERO_SCAN_POINTS,
+        passed=len(half) == 2 and not zeros.intervals,
+        tolerance=0.0,
+        seed=seed,
+        details=(f"points={list(zeros.points)}",),
+    ))
     zeros = oracle.brute_force_zeros_1d(fixtures.flat_interval_context())
-    scans.append(
-        {
-            "label": "zero_set[flat-interval]",
-            "kind": "zero_set_1d",
-            "worst_case": float(len(zeros.intervals)),
-            "samples": oracle.ZERO_SCAN_POINTS,
-            "pass": len(zeros.intervals) == 1,
-            "tolerance": 0.0,
-            "seed": seed,
-            "details": [f"intervals={list(zeros.intervals)}"],
-        }
-    )
+    add("zero_set[flat-interval]", oracle.ScanReport(
+        kind=oracle.ScanKind.ZERO_SET_1D,
+        worst_case=float(len(zeros.intervals)),
+        samples=oracle.ZERO_SCAN_POINTS,
+        passed=len(zeros.intervals) == 1,
+        tolerance=0.0,
+        seed=seed,
+        details=(f"intervals={list(zeros.intervals)}",),
+    ))
 
     ok = all(s["pass"] for s in scans)
     write_report(

@@ -32,6 +32,7 @@ from .errors import (
 from .geometry import (
     BallPoint,
     MobiusBatch,
+    _in_open_ball,
     _single_batch,
     mobius_batch,
     one_minus_sq_norm,
@@ -119,7 +120,7 @@ def _as_interior_coords(ctx: EnergyContext, x: XLike) -> np.ndarray:
         raise DimensionMismatch(
             f"evaluation point has shape {v.shape}, measure dimension {ctx.dimension}"
         )
-    if float(v @ v) >= 1.0:
+    if not _in_open_ball(v):
         raise DomainError("evaluation point must lie in the open ball")
     return v
 

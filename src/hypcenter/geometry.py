@@ -26,7 +26,8 @@ from .errors import (
     PoleSingularity,
 )
 
-# Inputs within this of the unit sphere are classified Boundary and renormalized.
+# point() classifies raw coordinates within this of the unit sphere Boundary
+# and renormalizes them; interior_point() and stored measure rows never snap.
 BOUNDARY_SNAP_TOL = 1e-9
 # Unit-vector validation tolerance for halfspace normals and geodesic directions.
 UNIT_TOL = 1e-12
@@ -60,7 +61,7 @@ def one_minus_sq_norm(v: np.ndarray) -> float:
 def one_minus_sq_norms(locations: np.ndarray) -> np.ndarray:
     """Row-wise one_minus_sq_norm: the same terms in the same order, fsum per row."""
     p, e = _square_exact(locations)
-    pairs = np.stack([-p, -e], axis=2).reshape(len(p), -1).tolist()
+    pairs = np.stack([-p, -e], axis=2).reshape(p.shape[0], 2 * p.shape[1]).tolist()
     return np.array([math.fsum([1.0, *row]) for row in pairs])
 
 
@@ -98,14 +99,8 @@ class BallPoint:
 PointLike = Union[BallPoint, Sequence[float], np.ndarray]
 
 
-def point(coords: PointLike) -> BallPoint:
-    """Classify coordinates as Interior or Boundary, snapping onto the sphere.
-
-    Raises DomainError for non-numeric or empty vectors and for points
-    outside the closed ball (beyond the snap tolerance).
-    """
-    if isinstance(coords, BallPoint):
-        return coords
+def _vector(coords: PointLike) -> np.ndarray:
+    """A finite 1-d float vector of length >= 1, or DomainError."""
     try:
         v = np.array(coords, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -114,6 +109,19 @@ def point(coords: PointLike) -> BallPoint:
         raise DomainError("a point needs a 1-d coordinate vector of length >= 1")
     if not np.all(np.isfinite(v)):
         raise DomainError("coordinates must be finite")
+    return v
+
+
+def point(coords: PointLike) -> BallPoint:
+    """Classify coordinates of the closed ball as Interior or Boundary,
+    snapping onto the sphere within BOUNDARY_SNAP_TOL.
+
+    Raises DomainError for non-numeric or empty vectors and for points
+    outside the closed ball (beyond the snap tolerance).
+    """
+    if isinstance(coords, BallPoint):
+        return coords
+    v = _vector(coords)
     nr = float(np.linalg.norm(v))
     if abs(nr - 1.0) <= BOUNDARY_SNAP_TOL:
         return BallPoint(v / nr, Locus.BOUNDARY)
@@ -122,10 +130,19 @@ def point(coords: PointLike) -> BallPoint:
     raise DomainError(f"|coords| = {nr!r} lies outside the closed unit ball")
 
 
+def _in_open_ball(v: np.ndarray) -> bool:
+    return float(v @ v) < 1.0  # the one open-ball test
+
+
 def interior_point(coords: PointLike) -> BallPoint:
-    """Like point(), but requires the result to be interior."""
-    p = point(coords)
-    if p.locus is not Locus.INTERIOR:
+    """A point of the open ball, never snapped: raw coordinates with |x| < 1
+    keep their values and an interior BallPoint passes through unchanged.
+
+    Raises DomainError for a sphere BallPoint and for raw |x| >= 1.
+    """
+    p = (coords if isinstance(coords, BallPoint)
+         else BallPoint(_vector(coords), Locus.INTERIOR))
+    if p.is_boundary or not _in_open_ball(p.coords):
         raise DomainError("expected an interior point of the unit ball")
     return p
 
@@ -181,7 +198,7 @@ def mobius_batch(
     # den = 1 + 2 x.y + |x|^2 |y|^2, assembled as (1 + x.y)^2 plus the
     # Cauchy-Schwarz remainder so no cancellation survives near antipodes
     dens = u * u + _gram_remainder(x, locations)
-    if dens.min() < POLE_EPS:
+    if dens.min(initial=math.inf) < POLE_EPS:
         raise PoleSingularity("Mobius denominator underflow")
     images = ((1.0 + 2.0 * d + sq_norms)[:, None] * x[None, :]
               + omx * locations) / dens[:, None]
@@ -223,7 +240,7 @@ def mobius(x: PointLike, y: PointLike) -> BallPoint:
 
     Preserves the boundary sphere and the locus of y.
     """
-    xp = interior_point(point(x))
+    xp = interior_point(x)
     yp = point(y)
     if xp.dim != yp.dim:
         raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
@@ -235,7 +252,7 @@ def mobius(x: PointLike, y: PointLike) -> BallPoint:
 
 def mobius_inverse(x: PointLike, y: PointLike) -> BallPoint:
     """Inverse translation (T_x)^{-1} = T_{-x}."""
-    xp = interior_point(point(x))
+    xp = interior_point(x)
     return mobius(BallPoint(-xp.coords, Locus.INTERIOR), y)
 
 
@@ -248,7 +265,7 @@ def mobius_map(x: PointLike) -> ArrayMap:
     One mobius_batch pass; sphere images are renormalized and interior images
     clamped inside the sphere as in mobius().
     """
-    xp = interior_point(point(x))
+    xp = interior_point(x)
 
     def apply(locations: np.ndarray, boundary: np.ndarray):
         if locations.shape[1] != xp.dim:
@@ -266,17 +283,10 @@ def mobius_map(x: PointLike) -> ArrayMap:
     return apply
 
 
-def arclength_s(r: float) -> float:
-    """Hyperbolic radius of the sphere of euclidean radius r: arctanh r."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"r = {r!r} outside [0, 1)")
-    return math.atanh(r)
-
-
 def hyp_distance(x: PointLike, y: PointLike) -> float:
     """Hyperbolic distance between interior points, arctanh |T_{-x}(y)|."""
-    xp = interior_point(point(x))
-    yp = interior_point(point(y))
+    xp = interior_point(x)
+    yp = interior_point(y)
     if xp.dim != yp.dim:
         raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
     return float(_single_batch(-xp.coords, yp).arclengths[0])
@@ -287,8 +297,8 @@ def inverse_exp(x: PointLike, y: PointLike) -> np.ndarray:
 
     Returns the zero vector when x == y (documented convention).
     """
-    xp = interior_point(point(x))
-    yp = interior_point(point(y))
+    xp = interior_point(x)
+    yp = interior_point(y)
     if xp.dim != yp.dim:
         raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
     if np.array_equal(xp.coords, yp.coords):
@@ -314,7 +324,7 @@ class Geodesic:
 
 def geodesic(base: PointLike, direction: Sequence[float]) -> Geodesic:
     """Build a geodesic from an interior base point and a direction vector."""
-    b = interior_point(point(base))
+    b = interior_point(base)
     d = np.array(direction, dtype=float)
     if d.shape != (b.dim,):
         raise DimensionMismatch("direction and base dimensions differ")
@@ -436,7 +446,7 @@ def fold_map(h: Halfspace) -> ArrayMap:
     def apply(locations: np.ndarray, boundary: np.ndarray):
         loci = [Locus.BOUNDARY if b else Locus.INTERIOR for b in boundary.tolist()]
         images = [fold(h, BallPoint(y, lc)).coords for y, lc in zip(locations, loci)]
-        return np.array(images), boundary.copy()
+        return np.array(images).reshape(locations.shape), boundary.copy()
 
     return apply
 

@@ -31,14 +31,13 @@ from .errors import (
 from .geometry import (
     BOUNDARY_SNAP_TOL,
     ArrayMap,
-    geodesic_through,
     mobius_map,
     one_minus_sq_norms,
-    point,
 )
 
 CO_LOCATION_TOL = 1e-12
 GEODESIC_MEMBER_TOL = 1e-10
+_CHART_ROUNDOFF = 1e-14  # floor of the scaled tolerance, ~50 ulps
 REGION_MARGIN = 1e-6
 
 
@@ -251,23 +250,36 @@ def validate(measure: AtomicMeasure) -> ValidationReport:
 def _geodesic_support(locs: np.ndarray, bd: np.ndarray) -> GeodesicSupport:
     """Whether the aggregated atoms lie on one geodesic (or its closure).
 
-    The geodesic runs through the first atom and the atom euclidean-farthest
-    from it: no nearly coincident pair defines it unless all atoms are that close.
+    A geodesic meets the sphere twice, so three sphere atoms never lie on one.
+    Otherwise it runs through the interior atom a nearest the origin and the
+    atom euclidean-farthest from a, and is a diameter of the chart T_{-a}.  The
+    chart scales lengths at y by lam = (1-|a|^2) / (|y-a|^2 + (1-|a|^2)(1-|y|^2));
+    where lam < 1 the tolerance shrinks with it, so no atom passes by being
+    squeezed.
     """
     on = GeodesicSupport.IN_GEODESIC
     if np.any(bd):
         on = GeodesicSupport.IN_GEODESIC_CLOSURE
     if locs.shape[1] == 1 or len(locs) <= 2:
         return on
-    far = int(np.argmax(np.linalg.norm(locs - locs[0], axis=1)))
-    geo = geodesic_through(point(locs[0]), point(locs[far]))
-    rest = np.delete(np.arange(len(locs)), [0, far])
-    # batched off_geodesic_residual; one atom alone settles generic supports
+    if np.count_nonzero(bd) >= 3:
+        return GeodesicSupport.NOT_IN_GEODESIC
+    omy = np.where(bd, 0.0, 1.0 - np.einsum("ij,ij->i", locs, locs))
+    a = int(np.argmax(np.where(bd, -1.0, omy)))
+    dist = np.linalg.norm(locs - locs[a], axis=1)
+    far = int(np.argmax(dist))
+    lam = omy[a] / (dist**2 + omy[a] * omy)
+    tol = np.maximum(GEODESIC_MEMBER_TOL * np.minimum(lam, 1.0), _CHART_ROUNDOFF)
+    to_chart = mobius_map(-locs[a])
+    w_far, _ = to_chart(locs[[far]], bd[[far]])
+    u = w_far[0] / np.linalg.norm(w_far[0])
+    rest = np.delete(np.arange(len(locs)), [a, far])
+    # one atom alone settles generic supports
     for rows in (rest[:1], rest[1:]):
         if len(rows):
-            w, _ = mobius_map(-geo.base.coords)(locs[rows], bd[rows])
-            resid = np.linalg.norm(w - np.outer(w @ geo.dir, geo.dir), axis=1)
-            if not np.all(resid <= GEODESIC_MEMBER_TOL):
+            w, _ = to_chart(locs[rows], bd[rows])
+            resid = np.linalg.norm(w - np.outer(w @ u, u), axis=1)
+            if not np.all(resid <= tol[rows]):
                 return GeodesicSupport.NOT_IN_GEODESIC
     return on
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,6 +27,8 @@ from .energy import (
 )
 from .errors import DomainError
 from .geometry import (
+    BallPoint,
+    Geodesic,
     geodesic,
     geodesic_point,
     mobius,
@@ -108,6 +110,13 @@ def _random_interior(rng: np.random.Generator, n: int, radius: float) -> np.ndar
     return v * radius * rng.uniform() ** (1.0 / n)
 
 
+def _second_difference(g: Geodesic, f: Callable[[BallPoint], float], tau: float) -> float:
+    """Second difference of f along g in arclength tau, at h = TOL.convexity_step."""
+    h = TOL.convexity_step
+    vals = [f(geodesic_point(g, math.tanh(tau + k * h))) for k in (-1, 0, 1)]
+    return (vals[0] - 2.0 * vals[1] + vals[2]) / h**2
+
+
 def _G_at(weight: RadialWeight, z: float) -> float:
     """G at half the Poincare distance, s = (1/2) arccosh(1 + z), where
     r = tanh s = sqrt(z/(z + 2)) and 1 - r^2 = 2/(z + 2), without cancellation."""
@@ -137,7 +146,7 @@ def _atomwise_energy(ctx: EnergyContext, x: np.ndarray) -> float:
 
 
 def gradient_check(ctx: EnergyContext, samples: int = 1000, seed: int = 0) -> ScanReport:
-    """Finite differences of the atomwise energy against energy_gradient."""
+    """Finite differences of the atomwise energy against the gradient V/(1-|x|^2)."""
     rng = np.random.default_rng(seed)
     h = TOL.gradient_step
     worst = 0.0
@@ -178,19 +187,14 @@ def convexity_scan(
     also records whether strictness held (minimum above the strict margin).
     """
     rng = np.random.default_rng(seed)
-    h = TOL.convexity_step
     lowest = math.inf
     count = 0
     for _ in range(geodesics):
         base = _random_interior(rng, ctx.dimension, 0.7)
         d = rng.normal(size=ctx.dimension)
-        g = geodesic(point(base), d)
+        g = geodesic(base, d)
         for tau in np.linspace(-1.2, 1.2, steps):
-            vals = [
-                renormalized_energy(ctx, geodesic_point(g, math.tanh(tau + k * h)).coords)
-                for k in (-1, 0, 1)
-            ]
-            second = (vals[0] - 2.0 * vals[1] + vals[2]) / h**2
+            second = _second_difference(g, lambda p: renormalized_energy(ctx, p.coords), tau)
             lowest = min(lowest, second)
             count += 1
     strict = lowest > TOL.convexity_strict
@@ -214,29 +218,21 @@ def kernel_linearity_check(
     linear in arclength; every other direction is strictly convex.
     """
     rng = np.random.default_rng(seed)
-    h = TOL.convexity_step
     worst_linear = 0.0
     lowest_generic = math.inf
     for _ in range(samples):
         x = _random_interior(rng, ctx.dimension, 0.7)
         yv = rng.normal(size=ctx.dimension)
         y = point(yv / np.linalg.norm(yv))
-        aimed = geodesic(point(x), mobius(point(x), y).coords)
+        aimed = geodesic(x, mobius(x, y).coords)
         for tau in (-0.5, 0.0, 0.7):
-            vals = [
-                kernel_K(ctx, geodesic_point(aimed, math.tanh(tau + k * h)).coords, y)
-                for k in (-1, 0, 1)
-            ]
-            second = (vals[0] - 2.0 * vals[1] + vals[2]) / h**2
+            second = _second_difference(aimed, lambda p: kernel_K(ctx, p.coords, y), tau)
             worst_linear = max(worst_linear, abs(second))
-        generic = geodesic(point(x), rng.normal(size=ctx.dimension))
+        generic = geodesic(x, rng.normal(size=ctx.dimension))
         ends = [geodesic_point(generic, t).coords for t in (0.999, -0.999)]
         if all(float(np.linalg.norm(e + y.coords)) > 0.1 for e in ends):
-            vals = [
-                kernel_K(ctx, geodesic_point(generic, math.tanh(k * h)).coords, y)
-                for k in (-1, 0, 1)
-            ]
-            lowest_generic = min(lowest_generic, (vals[0] - 2 * vals[1] + vals[2]) / h**2)
+            second = _second_difference(generic, lambda p: kernel_K(ctx, p.coords, y), 0.0)
+            lowest_generic = min(lowest_generic, second)
     passed = worst_linear < TOL.linear_abs and lowest_generic > TOL.away_strict
     return ScanReport(
         kind=ScanKind.CONVEXITY_SCAN,
@@ -342,29 +338,21 @@ def distance_convexity_check(samples: int = 40, seed: int = 0) -> ScanReport:
     while checked < samples:
         n = int(rng.integers(2, 4))
         base = _random_interior(rng, n, 0.7)
-        g = geodesic(point(base), rng.normal(size=n))
+        g = geodesic(base, rng.normal(size=n))
         taus = np.linspace(-1.2, 1.2, 9)
         radii = [geodesic_point(g, math.tanh(t)).r for t in taus]
         if min(radii) < 0.05:
             continue
         checked += 1
         for tau in taus:
-            vals = [
-                math.atanh(geodesic_point(g, math.tanh(tau + k * h)).r)
-                for k in (-1, 0, 1)
-            ]
-            lowest = min(lowest, (vals[0] - 2.0 * vals[1] + vals[2]) / h**2)
+            lowest = min(lowest, _second_difference(g, lambda p: math.atanh(p.r), tau))
     positive_ok = lowest > 0.0
 
     line_worst = 0.0
-    e1 = np.array([1.0, 0.0])
-    line = geodesic(point([0.0, 0.0]), e1)
+    line = geodesic([0.0, 0.0], [1.0, 0.0])
     for tau in (0.3, 0.9, -0.6, -1.4):
-        vals = [
-            math.atanh(geodesic_point(line, math.tanh(tau + k * h)).r)
-            for k in (-1, 0, 1)
-        ]
-        line_worst = max(line_worst, abs((vals[0] - 2.0 * vals[1] + vals[2]) / h**2))
+        second = _second_difference(line, lambda p: math.atanh(p.r), tau)
+        line_worst = max(line_worst, abs(second))
     line_ok = line_worst < TOL.distance_line_abs
 
     # circular-arc geodesic with a = sqrt(2), b = 1

@@ -30,7 +30,6 @@ from .errors import (
     NotBoundaryCompatible,
     UndefinedAtOne,
 )
-from .geometry import point
 
 _CHECK_GRID = 10_000
 
@@ -137,15 +136,6 @@ def eval_g(w: RadialWeight, r):
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(out)
     return out
-
-
-def eval_v(w: RadialWeight, y) -> np.ndarray:
-    """Radial field v(y) = g(|y|) y/|y|, zero at the origin."""
-    p = point(y)
-    r = p.r
-    if r == 0.0:
-        return np.zeros(p.dim)
-    return float(eval_g(w, min(r, 1.0))) * (p.coords / r)
 
 
 def _log_damped_G(s):

@@ -50,6 +50,49 @@ class TestPointClassification:
             geo.point([])
 
 
+class TestInteriorRule:
+    # raw coordinates of the open ball are never snapped onto the sphere
+    NEAR = (1.0 - 1e-10) * np.array([0.6, 0.8])
+
+    def test_near_sphere_raw_point_accepted(self):
+        x = self.NEAR
+        p = geo.interior_point(x)
+        assert p.locus is geo.Locus.INTERIOR
+        assert np.array_equal(p.coords, x)
+        locations, boundary = np.array([[0.0, 0.0], [0.6, 0.8]]), np.array([False, True])
+        img, bd = geo.mobius_map(x)(locations, boundary)
+        np.testing.assert_array_equal(img[0], x)
+        assert list(bd) == [False, True]
+        d = geo.hyp_distance([0.0, 0.0], x)
+        assert d == pytest.approx(math.atanh(1.0 - 1e-10), rel=1e-6)
+        assert geo.hyp_distance(x, [0.1, 0.0]) > 11.0
+        assert np.array_equal(geo.geodesic(x, [1.0, 0.0]).base.coords, x)
+
+    @pytest.mark.parametrize("r", [1.0, 1.0 + 1e-10, 1.5])
+    def test_closed_ball_rejected(self, r):
+        x = [r, 0.0]
+        for f in (geo.interior_point, geo.mobius_map,
+                  lambda v: geo.hyp_distance(v, [0.0, 0.0]),
+                  lambda v: geo.geodesic(v, [0.0, 1.0])):
+            with pytest.raises(DomainError):
+                f(x)
+
+    def test_ball_points_keep_their_locus(self):
+        near = geo.BallPoint(self.NEAR, geo.Locus.INTERIOR)
+        assert geo.interior_point(near) is near
+        with pytest.raises(DomainError):
+            geo.interior_point(geo.point([0.6, 0.8]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_array_maps_on_empty_blocks(self, n):
+        locations, boundary = np.empty((0, n)), np.empty(0, bool)
+        h = geo.halfspace(np.eye(n)[0], 0.3)
+        for f in (geo.mobius_map(np.full(n, 0.1)), geo.fold_map(h)):
+            img, bd = f(locations, boundary)
+            assert img.shape == (0, n)
+            assert bd.shape == (0,)
+
+
 class TestMobius:
     def test_identity_at_origin(self):
         y = geo.point([0.3, 0.4])
@@ -119,17 +162,6 @@ class TestMobius:
 
 
 class TestDistances:
-    def test_arclength_values(self):
-        assert geo.arclength_s(0.0) == 0.0
-        assert geo.arclength_s(TANH(2.0)) == pytest.approx(2.0, abs=1e-14)
-        assert geo.arclength_s(0.5) == pytest.approx(0.5493061443340549, abs=1e-15)
-
-    def test_arclength_domain(self):
-        with pytest.raises(DomainError):
-            geo.arclength_s(1.0)
-        with pytest.raises(DomainError):
-            geo.arclength_s(-0.1)
-
     def test_distance_zero_iff_equal(self):
         x = [0.2, -0.4]
         assert geo.hyp_distance(x, x) == 0.0

@@ -132,15 +132,17 @@ class TestArrayConstruction:
         assert ms.atomic_measure([([0.1, 0.2], 1.0)], dimension=2).dimension == 2
 
     def test_no_ball_points_in_measures(self):
-        # atoms live in arrays; single-point objects belong to geometry
+        # atoms live in arrays; single-point objects belong to geometry, and
+        # validation classifies rows without re-snapping them
+        single_point = {"BallPoint", "point", "geodesic_through"}
         tree = ast.parse(inspect.getsource(ms))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
-                assert "BallPoint" not in [a.name for a in node.names]
+                assert not single_point & {a.name for a in node.names}
             if isinstance(node, ast.Name):
-                assert node.id != "BallPoint"
+                assert node.id not in single_point
             if isinstance(node, ast.Attribute):
-                assert node.attr != "BallPoint"
+                assert node.attr not in single_point
         assert not hasattr(ms.AtomicMeasure, "points")
         assert not hasattr(ms.AtomicMeasure, "atoms")
 
@@ -276,11 +278,19 @@ class TestValidate:
     def test_geodesic_support_matches_pointwise(self, n):
         # the batched membership test classifies as one on_geodesic per atom
         def pointwise(locs, bd):
-            # the pair validate uses: the first atom and the atom farthest from it
-            far = int(np.argmax([np.linalg.norm(z - locs[0]) for z in locs]))
-            g = geo.geodesic_through(geo.point(locs[0]), geo.point(locs[far]))
-            for z in np.delete(locs, [0, far], axis=0):
-                if not geo.on_geodesic(g, geo.point(z), tol=ms.GEODESIC_MEMBER_TOL):
+            # the pair validate uses: the interior atom nearest the origin and
+            # the atom farthest from it; the tolerance shrinks with the chart
+            ia = int(np.argmin([math.inf if b else z @ z for z, b in zip(locs, bd)]))
+            a = locs[ia]
+            far = int(np.argmax([np.linalg.norm(z - a) for z in locs]))
+            g = geo.geodesic_through(geo.point(a), geo.point(locs[far]))
+            oma = 1.0 - a @ a
+            for i, (z, b) in enumerate(zip(locs, bd)):
+                if i in (ia, far):
+                    continue
+                lam = oma / ((z - a) @ (z - a) + oma * (0.0 if b else 1.0 - z @ z))
+                tol = max(ms.GEODESIC_MEMBER_TOL * min(lam, 1.0), ms._CHART_ROUNDOFF)
+                if not geo.on_geodesic(g, geo.point(z), tol=tol):
                     return ms.GeodesicSupport.NOT_IN_GEODESIC
             return "on"
 
@@ -315,6 +325,41 @@ class TestValidate:
             assert on == (want == "on"), name
             seen.add(on)
         assert seen == {True, False}
+
+    def test_clustered_sphere_atoms_validate(self):
+        # three distinct sphere points never lie on one geodesic
+        pts = [[math.cos(a), math.sin(a)] for a in (0.0, 1e-8, 2e-8)]
+        mu = ms.atomic_measure([(p, 1.0) for p in pts])
+        report = ms.validate(mu)
+        assert report.support is ms.Support.SPHERE_ONLY
+        assert report.geodesic_support is ms.GeodesicSupport.NOT_IN_GEODESIC
+        ctx = en.energy_context(wt.identity(), mu)
+        assert ctx.validation.geodesic_support is ms.GeodesicSupport.NOT_IN_GEODESIC
+
+    @pytest.mark.parametrize("atoms", [
+        [({"dir": [1.0, 0.0], "s": 13.0}, 1.0), ([0.0, 0.0], 1.0), ([0.0, 0.5], 1.0)],
+        [({"dir": [1.0, 0.0], "s": 12.0}, 1.0), ([0.0, 0.0], 1.0), ([0.5, 0.1], 1.0)],
+        [({"dir": d, "s": 12.0}, 1.0) for d in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])],
+    ])
+    def test_far_out_atoms_do_not_squeeze_residuals(self, atoms):
+        # a chart centred near the sphere shrinks residuals by ~1 - |a|^2; a far
+        # polar atom listed first must not make a spread support look collinear
+        report = ms.validate(ms.atomic_measure(atoms))
+        assert report.geodesic_support is ms.GeodesicSupport.NOT_IN_GEODESIC
+
+    def test_far_out_atoms_on_a_diameter(self):
+        atoms = [({"dir": [1.0, 0.0], "s": s}, 1.0) for s in (12.0, 13.0)]
+        atoms.append(({"dir": [-1.0, 0.0], "s": 12.0}, 1.0))
+        report = ms.validate(ms.atomic_measure(atoms))
+        assert report.geodesic_support is ms.GeodesicSupport.IN_GEODESIC
+
+    def test_far_polar_cluster_validates(self):
+        # stored rows within 1e-9 of the sphere keep their interior locus
+        atoms = [({"dir": [math.cos(a), math.sin(a)], "s": 12.0}, 1.0)
+                 for a in (0.0, 1e-8, 2e-8)]
+        report = ms.validate(ms.atomic_measure(atoms))
+        assert report.support is ms.Support.COMPACT_INTERIOR
+        assert report.geodesic_support is ms.GeodesicSupport.NOT_IN_GEODESIC
 
     @pytest.mark.parametrize("count", [3, 4])
     def test_nearly_coincident_sphere_atoms(self, count):

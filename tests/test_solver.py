@@ -318,6 +318,15 @@ def test_initial_point_must_be_interior():
         sv.solve_center(ctx, sv.SolveOptions(initial=[1.0, 0.0]))
 
 
+def test_near_sphere_initial_point_accepted():
+    x0 = [1.0 - 1e-10, 0.0]
+    opts = sv.SolveOptions(initial=x0)
+    assert opts.initial == x0
+    for r in (1.0, 1.0 + 1e-10):
+        with pytest.raises(DomainError):
+            sv.SolveOptions(initial=[r, 0.0])
+
+
 def test_result_point_is_interior():
     mu = ms.atomic_measure([([0.0], 0.5), ([TANH(9.0)], 0.5)])
     ctx = en.energy_context(wt.arctanh_power(2.0), mu)

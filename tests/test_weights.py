@@ -70,21 +70,6 @@ class TestEvalG:
         assert wt.eval_g(wt.log_damped(), 1.0) == 0.0
 
 
-class TestEvalV:
-    def test_zero_at_origin(self):
-        v = wt.eval_v(wt.identity(), [0.0, 0.0])
-        assert np.all(v == 0.0)
-
-    def test_identity_on_sphere(self):
-        y = np.array([0.6, 0.8])
-        v = wt.eval_v(wt.identity(), y)
-        np.testing.assert_allclose(v, y, atol=1e-12)
-
-    def test_dip_weight_at_tanh1(self):
-        v = wt.eval_v(wt.min_r_arctanh_inv(), [TANH(1.0), 0.0])
-        np.testing.assert_allclose(v, [1.0, 0.0], atol=1e-12)
-
-
 class TestEvalBigG:
     def test_zero_at_zero(self):
         for w in ALL_WEIGHTS.values():
@@ -223,6 +208,15 @@ class TestClosedFormG:
                 assert node.attr not in ("quad", "integrate")
 
 
+def test_weights_import_nothing_from_geometry():
+    # profiles are functions of (r, s); points belong to geometry
+    for node in ast.walk(ast.parse(inspect.getsource(wt))):
+        if isinstance(node, ast.ImportFrom):
+            assert "geometry" not in (node.module or "")
+        if isinstance(node, ast.Import):
+            assert not any("geometry" in a.name for a in node.names)
+
+
 def test_clamped_linear_plateau_at_one_is_identity():
     # c = 1 puts the plateau on the sphere: g and G are identity's inside
     w, ident = wt.clamped_linear(1.0), wt.identity()
@@ -256,11 +250,10 @@ class TestNormalization:
     def test_zero_set_and_signs_preserved(self):
         base = wt.clamped_linear(0.5)
         scaled = wt.normalized_for_boundary(base)
-        for r in np.linspace(0.0, 0.99, 30):
-            y = np.array([r, 0.0])
-            v0 = wt.eval_v(base, y)
-            v1 = wt.eval_v(scaled, y)
-            np.testing.assert_allclose(v1, 2.0 * v0, atol=1e-15)
+        rs = np.linspace(0.0, 0.99, 30)
+        np.testing.assert_allclose(
+            wt.eval_g(scaled, rs), 2.0 * wt.eval_g(base, rs), atol=1e-15
+        )
 
     def test_incompatible_profiles(self):
         with pytest.raises(NotBoundaryCompatible):
