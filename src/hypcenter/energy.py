@@ -30,10 +30,11 @@ from .errors import (
     NotBoundaryCompatible,
 )
 from .geometry import (
+    _NO_SPHERE,
     BallPoint,
     MobiusBatch,
     _in_open_ball,
-    _single_batch,
+    _mobius_rows,
     mobius_batch,
     one_minus_sq_norm,
     point,
@@ -57,7 +58,6 @@ class EnergyContext:
     validation: ValidationReport
     interior: np.ndarray
     any_boundary: bool
-    sq_norms: np.ndarray
     gamma_y: np.ndarray  # G(|y_i|) for interior atoms, 0.0 on sphere rows
 
     @property
@@ -83,17 +83,10 @@ def energy_context(weight: RadialWeight, measure: AtomicMeasure) -> EnergyContex
     report = validate(measure)
     if report.support is not Support.COMPACT_INTERIOR:
         weight = normalized_for_boundary(weight)
-    locations = measure.locations
     boundary = measure.boundary_mask
-    sq_norms = np.einsum("ij,ij->i", locations, locations)
-    # exact 1 - |y|^2 where the measure carries it (geodesic-polar atoms)
-    one_minus_sq = measure.one_minus_sq_values
-    sq_norms[boundary] = 1.0
     # G at the atom radii through the same batch path used at evaluation time,
     # so the interior kernel vanishes identically at x = 0
-    batch = mobius_batch(
-        np.zeros(measure.dimension), locations, sq_norms, one_minus_sq, boundary
-    )
+    batch = _batch(measure, np.zeros(measure.dimension))
     gamma_y = np.zeros(len(measure))
     interior = ~boundary
     if np.any(interior):
@@ -109,7 +102,6 @@ def energy_context(weight: RadialWeight, measure: AtomicMeasure) -> EnergyContex
         validation=report,
         interior=interior,
         any_boundary=bool(np.any(boundary)),
-        sq_norms=sq_norms,
         gamma_y=gamma_y,
     )
 
@@ -125,11 +117,8 @@ def _as_interior_coords(ctx: EnergyContext, x: XLike) -> np.ndarray:
     return v
 
 
-def _batch(ctx: EnergyContext, x: np.ndarray) -> MobiusBatch:
-    mu = ctx.measure
-    return mobius_batch(
-        x, mu.locations, ctx.sq_norms, mu.one_minus_sq_values, mu.boundary_mask
-    )
+def _batch(mu: AtomicMeasure, x: np.ndarray) -> MobiusBatch:
+    return mobius_batch(x, mu.locations, *mu.radial_rows, mu.boundary_mask)
 
 
 def _fsum_vector(contrib: np.ndarray) -> np.ndarray:
@@ -160,7 +149,7 @@ def _field_contrib(ctx: EnergyContext, batch: MobiusBatch) -> np.ndarray:
 def field_V(ctx: EnergyContext, x: XLike) -> np.ndarray:
     """The integrated radial field V(x); its zeros are the sought centers."""
     xv = _as_interior_coords(ctx, x)
-    return _fsum_vector(_field_contrib(ctx, _batch(ctx, xv)))
+    return _fsum_vector(_field_contrib(ctx, _batch(ctx.measure, xv)))
 
 
 def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.ndarray:
@@ -194,14 +183,14 @@ def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.
 def renormalized_energy(ctx: EnergyContext, x: XLike) -> float:
     """The renormalized energy; finite for sphere atoms and zero at x = 0."""
     xv = _as_interior_coords(ctx, x)
-    vals = _kernel_terms(ctx, xv, _batch(ctx, xv))
+    vals = _kernel_terms(ctx, xv, _batch(ctx.measure, xv))
     return float(math.fsum((ctx.measure.weights * vals).tolist()))
 
 
 def energy_and_field(ctx: EnergyContext, x: XLike) -> tuple[float, np.ndarray]:
     """Energy and field from a single Mobius pass (solver hot path)."""
     xv = _as_interior_coords(ctx, x)
-    batch = _batch(ctx, xv)
+    batch = _batch(ctx.measure, xv)
     vals = _kernel_terms(ctx, xv, batch)
     energy = float(math.fsum((ctx.measure.weights * vals).tolist()))
     return energy, _fsum_vector(_field_contrib(ctx, batch))
@@ -226,9 +215,10 @@ def kernel_K(ctx: EnergyContext, x: XLike, y: BallPoint) -> float:
         if sq < 1e-300:
             raise BusemannSingularity("kernel diverges at the antipode of y")
         return 0.5 * (math.log(sq) - math.log(omx))
+    row = yp.coords[None]
     g_img, g_y = (
         float(eval_G_rs(ctx.weight, b.radii, b.arclengths, b.one_minus_r2)[0])
-        for b in (_single_batch(at, yp) for at in (xv, np.zeros(ctx.dimension)))
+        for b in (_mobius_rows(at, row, _NO_SPHERE) for at in (xv, np.zeros(ctx.dimension)))
     )
     return g_img - g_y
 

@@ -4,6 +4,10 @@ Mobius translations T_x of the unit ball, hyperbolic distances and geodesics,
 hyperbolic halfspaces with their reflections and fold maps.  Everything here is
 a pure function of immutable inputs; no shared mutable state.
 
+One batch-invariant kernel, mobius_batch, evaluates T_x: a row's result never
+depends on the block around it, so every single-point function is the one-row
+case of the array maps (mobius_map, fold_map), bit for bit.
+
 Near the unit sphere the naive route ``atanh(|T_x(y)|)`` loses up to seven
 digits to cancellation, so the arclength helpers work from the factorization
 ``1 - |T_x(y)|^2 = (1-|x|^2)(1-|y|^2) / den`` with every factor computed in a
@@ -35,34 +39,48 @@ UNIT_TOL = 1e-12
 # y = -x/|x| on the sphere with |x| -> 1, outside the |x| < 1 precondition.
 POLE_EPS = 1e-300
 
+_NO_SPHERE = np.zeros(1, dtype=bool)  # the sphere mask of one interior row
+_NO_SPHERE.flags.writeable = False
+
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def _square_exact(a):
-    """a*a as an exact head/tail pair (Dekker's product); elementwise on arrays."""
-    p = a * a
+def _square_terms(a):
+    """hi^2, 2 hi lo and lo^2: exact doubles summing to a^2, elementwise on
+    arrays.  Dekker's split a = hi + lo leaves both halves 26 bits wide."""
     c = _SPLIT * a
     hi = c - (c - a)
     lo = a - hi
-    e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
-    return p, e
-
-
-def one_minus_sq_norm(v: np.ndarray) -> float:
-    """1 - |v|^2 without cancellation, accurate arbitrarily close to the sphere."""
-    terms = [1.0]
-    for a in v:
-        p, e = _square_exact(float(a))
-        terms.append(-p)
-        terms.append(-e)
-    return math.fsum(terms)
+    return hi * hi, (2.0 * hi) * lo, lo * lo
 
 
 def one_minus_sq_norms(locations: np.ndarray) -> np.ndarray:
-    """Row-wise one_minus_sq_norm: the same terms in the same order, fsum per row."""
-    p, e = _square_exact(locations)
-    pairs = np.stack([-p, -e], axis=2).reshape(p.shape[0], 2 * p.shape[1]).tolist()
-    return np.array([math.fsum([1.0, *row]) for row in pairs])
+    """Per-row 1 - |y|^2 without cancellation, accurate arbitrarily close to
+    the sphere: fsum of 1 and the negated exact square terms, so correctly
+    rounded."""
+    terms = np.concatenate(_square_terms(locations), axis=1)
+    return np.array([math.fsum([1.0, *row]) for row in (-terms).tolist()])
+
+
+def one_minus_sq_norm(v: np.ndarray) -> float:
+    """one_minus_sq_norms of the single row v, bit for bit: the same exact
+    terms, summed on floats to skip the array passes of a one-row block."""
+    return math.fsum([1.0, *(-t for a in v.tolist() for t in _square_terms(a))])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products a_i . b (b one vector) or a_i . b_i (b a block),
+    as stacked one-row products: each row gets the bits of np.dot on that row
+    alone, whatever block it sits in."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def row_prep(locations: np.ndarray, boundary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-row radial data mobius_batch takes, (|y_i|^2, 1 - |y_i|^2), with
+    exact zeros for 1 - |y_i|^2 on sphere rows."""
+    omy = one_minus_sq_norms(locations)
+    omy[boundary] = 0.0
+    return _row_dots(locations, locations), omy
 
 
 class Locus(Enum):
@@ -147,13 +165,14 @@ def interior_point(coords: PointLike) -> BallPoint:
     return p
 
 
-def _interior(coords: np.ndarray) -> BallPoint:
-    # Internal constructor for images known to be interior; clamps fp overshoot
-    # instead of re-snapping, so extreme-radius interior points keep their locus.
-    nr = float(np.linalg.norm(coords))
-    if nr >= 1.0:
-        coords = coords * ((1.0 - 1e-16) / nr)
-    return BallPoint(coords, Locus.INTERIOR)
+def _clamp_inside(rows: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """Scale interior rows rounded onto or past the sphere back inside, in
+    place; returns the row norms before."""
+    nr = np.sqrt(_row_dots(rows, rows))
+    over = ~boundary & (nr >= 1.0)
+    if over.any():
+        rows[over] *= ((1.0 - 1e-16) / nr[over])[:, None]
+    return nr
 
 
 def _gram_remainder(x: np.ndarray, locations: np.ndarray) -> np.ndarray:
@@ -188,12 +207,15 @@ def mobius_batch(
 ) -> MobiusBatch:
     """Apply T_x to a block of points with precomputed radial metadata.
 
-    ``one_minus_sq`` must hold accurate values of 1 - |y_i|^2 (exact zeros for
-    boundary rows).  This is the hot path shared by the energy and field
-    evaluations; it never reclassifies loci.
+    ``sq_norms`` and ``one_minus_sq`` are the rows' radial data from row_prep
+    (or an exact 1 - |y_i|^2 datum).  The one evaluation of T_x; it never
+    reclassifies loci.  Batch-invariant: each step is elementwise or a
+    reduction over one row alone, so a row's fields equal the one-row call's.
+    Hence x.y by stacked per-row dots: a matvec ``locations @ x`` sums in
+    blocks chosen for the whole array, moving some rows' last bit.
     """
     omx = one_minus_sq_norm(x)
-    d = locations @ x
+    d = _row_dots(locations, x)
     u = 1.0 + d
     # den = 1 + 2 x.y + |x|^2 |y|^2, assembled as (1 + x.y)^2 plus the
     # Cauchy-Schwarz remainder so no cancellation survives near antipodes
@@ -222,32 +244,34 @@ def mobius_batch(
     return MobiusBatch(images, radii, arclengths, one_minus_r2, dens)
 
 
-def _single_batch(x: np.ndarray, y: BallPoint) -> MobiusBatch:
-    """mobius_batch at x on the single row y, with y's radial metadata."""
-    yy = float(y.coords @ y.coords)
-    omy = 0.0 if y.is_boundary else one_minus_sq_norm(y.coords)
-    return mobius_batch(
-        x,
-        y.coords[None, :],
-        np.array([yy]),
-        np.array([omy]),
-        np.array([y.is_boundary]),
-    )
+def _mobius_rows(x: np.ndarray, locations: np.ndarray, boundary: np.ndarray) -> MobiusBatch:
+    """mobius_batch on raw rows, with their radial data from row_prep."""
+    return mobius_batch(x, locations, *row_prep(locations, boundary), boundary)
+
+
+def _images(x: np.ndarray, locations: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """T_x images of raw rows: sphere images renormalized onto the sphere,
+    interior images clamped inside it."""
+    img = _mobius_rows(x, locations, boundary).images
+    nr = _clamp_inside(img, boundary)
+    if boundary.any():
+        img[boundary] /= nr[boundary, None]
+    return img
+
+
+def _one_row(mapping: ArrayMap, y: PointLike) -> BallPoint:
+    """An array map applied to the single point y, as a one-row block."""
+    yp = point(y)
+    img, _ = mapping(yp.coords[None], np.array([yp.is_boundary]))
+    return BallPoint(img[0], yp.locus)
 
 
 def mobius(x: PointLike, y: PointLike) -> BallPoint:
     """Hyperbolic translation T_x(y): the isometry sending 0 to x.
 
-    Preserves the boundary sphere and the locus of y.
+    Preserves the boundary sphere and the locus of y; the one-row mobius_map.
     """
-    xp = interior_point(x)
-    yp = point(y)
-    if xp.dim != yp.dim:
-        raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
-    img = _single_batch(xp.coords, yp).images[0]
-    if yp.is_boundary:
-        return BallPoint(img / np.linalg.norm(img), Locus.BOUNDARY)
-    return _interior(img)
+    return _one_row(mobius_map(x), y)
 
 
 def mobius_inverse(x: PointLike, y: PointLike) -> BallPoint:
@@ -263,22 +287,16 @@ def mobius_map(x: PointLike) -> ArrayMap:
     """The array map (locations, boundary) -> (T_x images, boundary).
 
     One mobius_batch pass; sphere images are renormalized and interior images
-    clamped inside the sphere as in mobius().
+    clamped inside the sphere.  Every step is per row (row_prep, the kernel,
+    the norms), so a row's image does not depend on the block: mobius(x, y)
+    is this map on the one-row block y.
     """
     xp = interior_point(x)
 
     def apply(locations: np.ndarray, boundary: np.ndarray):
         if locations.shape[1] != xp.dim:
             raise DimensionMismatch(f"dim {xp.dim} vs {locations.shape[1]}")
-        omy = np.where(boundary, 0.0, one_minus_sq_norms(locations))
-        # |y|^2 and |img|^2 by stacked matmuls: the BLAS dot mobius() takes per row
-        sq = (locations[:, None, :] @ locations[:, :, None])[:, 0, 0]
-        img = mobius_batch(xp.coords, locations, sq, omy, boundary).images
-        nr = np.sqrt((img[:, None, :] @ img[:, :, None])[:, 0, 0])
-        img[boundary] /= nr[boundary, None]
-        over = ~boundary & (nr >= 1.0)
-        img[over] *= ((1.0 - 1e-16) / nr[over])[:, None]
-        return img, boundary.copy()
+        return _images(xp.coords, locations, boundary), boundary.copy()
 
     return apply
 
@@ -289,7 +307,7 @@ def hyp_distance(x: PointLike, y: PointLike) -> float:
     yp = interior_point(y)
     if xp.dim != yp.dim:
         raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
-    return float(_single_batch(-xp.coords, yp).arclengths[0])
+    return float(_mobius_rows(-xp.coords, yp.coords[None], _NO_SPHERE).arclengths[0])
 
 
 def inverse_exp(x: PointLike, y: PointLike) -> np.ndarray:
@@ -303,7 +321,7 @@ def inverse_exp(x: PointLike, y: PointLike) -> np.ndarray:
         raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
     if np.array_equal(xp.coords, yp.coords):
         return np.zeros(xp.dim)
-    batch = _single_batch(-xp.coords, yp)
+    batch = _mobius_rows(-xp.coords, yp.coords[None], _NO_SPHERE)
     w = batch.images[0]
     nw = float(np.linalg.norm(w))
     if nw == 0.0:
@@ -338,7 +356,9 @@ def geodesic_point(g: Geodesic, t: float) -> BallPoint:
     """Chart point T_base(t * dir); hyperbolic arclength from base is arctanh|t|."""
     if not -1.0 < t < 1.0:
         raise DomainError(f"chart parameter t = {t!r} outside (-1, 1)")
-    return mobius(g.base, _interior(t * g.dir))
+    row = (t * g.dir)[None]
+    _clamp_inside(row, _NO_SPHERE)
+    return BallPoint(_images(g.base.coords, row, _NO_SPHERE)[0], Locus.INTERIOR)
 
 
 def geodesic_through(a: PointLike, b: PointLike) -> Geodesic:
@@ -369,15 +389,11 @@ def geodesic_through(a: PointLike, b: PointLike) -> Geodesic:
     return Geodesic(base, w / np.linalg.norm(w))
 
 
-def off_geodesic_residual(g: Geodesic, z: PointLike) -> float:
-    """Norm of the component of T_{-base}(z) transverse to the direction."""
-    w = mobius_inverse(g.base, point(z)).coords
-    return float(np.linalg.norm(w - (w @ g.dir) * g.dir))
-
-
 def on_geodesic(g: Geodesic, z: PointLike, tol: float = 1e-10) -> bool:
-    """Whether z lies on the geodesic (or its sphere endpoints) within tol."""
-    return off_geodesic_residual(g, z) <= tol
+    """Whether z lies on the geodesic (or its sphere endpoints) within tol: the
+    component of T_{-base}(z) transverse to the direction."""
+    w = mobius_inverse(g.base, point(z)).coords
+    return float(np.linalg.norm(w - (w @ g.dir) * g.dir)) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,66 +420,52 @@ def halfspace(p: Sequence[float], t: float) -> Halfspace:
     return Halfspace(pv, float(t))
 
 
-def _pull_back(h: Halfspace, y: BallPoint) -> BallPoint:
-    """T_{-tp}(y): the halfspace moved back to {y : y.p <= 0}; keeps y's locus."""
-    return mobius(BallPoint(-h.t * h.p, Locus.INTERIOR), y)
-
-
-def _reflect_pulled(h: Halfspace, w: BallPoint) -> BallPoint:
-    """Reflect a pulled-back point across {y.p = 0} and translate it back."""
-    c = w.coords - 2.0 * float(w.coords @ h.p) * h.p
-    c = BallPoint(c, Locus.BOUNDARY) if w.is_boundary else _interior(c)
-    return mobius(BallPoint(h.t * h.p, Locus.INTERIOR), c)
+def _reflect_rows(h: Halfspace, w: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """Reflect pulled-back rows across {y.p = 0} and translate them back by T_{tp}."""
+    c = w - 2.0 * _row_dots(w, h.p)[:, None] * h.p
+    _clamp_inside(c, boundary)
+    return _images(h.t * h.p, c, boundary)
 
 
 def halfspace_contains(h: Halfspace, y: PointLike, tol: float = 0.0) -> bool:
     """Whether y lies in the closed halfball H(p, t) or on its sphere cap."""
-    return float(_pull_back(h, point(y)).coords @ h.p) <= tol
+    return float(mobius(-h.t * h.p, y).coords @ h.p) <= tol
 
 
 def reflect(h: Halfspace, y: PointLike) -> BallPoint:
     """Hyperbolic reflection across the wall of H(p, t), by conjugation.
 
     An isometry of the closed ball: sphere points stay on the sphere."""
-    return _reflect_pulled(h, _pull_back(h, point(y)))
+    pull = mobius_map(-h.t * h.p)
+    return _one_row(lambda rows, bd: (_reflect_rows(h, pull(rows, bd)[0], bd), bd), y)
 
 
 def fold(h: Halfspace, y: PointLike) -> BallPoint:
-    """Fold map onto H: identity inside, hyperbolic reflection outside.
-
-    One pull-back per point, shared by the membership test and the
-    reflection; sphere points fold onto the sphere."""
-    yp = point(y)
-    w = _pull_back(h, yp)
-    if float(w.coords @ h.p) <= 0.0:
-        return yp
-    return _reflect_pulled(h, w)
+    """Fold map onto H: identity inside, hyperbolic reflection outside; the
+    one-row fold_map, so sphere points fold onto the sphere."""
+    return _one_row(fold_map(h), y)
 
 
 def fold_map(h: Halfspace) -> ArrayMap:
-    """The array map (locations, boundary) -> fold images, applied row by row."""
+    """The array map (locations, boundary) -> fold images.
+
+    One pull-back T_{-tp} of every row, shared by the membership test and the
+    reflection; only the rows outside H are reflected and translated back, and
+    that second pass is skipped when every row is inside.
+    """
+    pull = mobius_map(-h.t * h.p)
 
     def apply(locations: np.ndarray, boundary: np.ndarray):
-        loci = [Locus.BOUNDARY if b else Locus.INTERIOR for b in boundary.tolist()]
-        images = [fold(h, BallPoint(y, lc)).coords for y, lc in zip(locations, loci)]
-        return np.array(images).reshape(locations.shape), boundary.copy()
+        w, _ = pull(locations, boundary)
+        out = _row_dots(w, h.p) > 0.0
+        images = np.array(locations, dtype=float)
+        if out.any():
+            images[out] = _reflect_rows(h, w[out], boundary[out])
+        return images, boundary.copy()
 
     return apply
 
 
 def translate_coords(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """T_x(w) on raw interior coordinate arrays; minimal-overhead solver path.
-
-    Skips validation and the stabilized denominator: callers guarantee both
-    points sit well inside the ball (|w| <= tanh 1 for solver steps), where the
-    naive formula is accurate to machine precision.
-    """
-    d = float(x @ w)
-    xx = float(x @ x)
-    ww = float(w @ w)
-    den = 1.0 + 2.0 * d + xx * ww
-    out = ((1.0 + 2.0 * d + ww) * x + (1.0 - xx) * w) / den
-    nr = math.sqrt(float(out @ out))
-    if nr >= 1.0:
-        out = out * ((1.0 - 1e-16) / nr)
-    return out
+    """T_x(w) on raw interior coordinates: one kernel row, unvalidated."""
+    return _images(x, w[None], _NO_SPHERE)[0]

@@ -34,7 +34,6 @@ from .geometry import (
     hyp_distance,
     interior_point,
     one_minus_sq_norm,
-    point,
     translate_coords,
 )
 from .measures import CO_LOCATION_TOL, AtomicMeasure, GeodesicSupport, Support
@@ -358,7 +357,7 @@ def multistart_probe(
     diverged = 0
     for x0 in _multistart_points(ctx, starts, seed):
         try:
-            runs.append(solve_center(ctx, replace(single, initial=point(x0))))
+            runs.append(solve_center(ctx, replace(single, initial=x0)))
         except DivergentIterates:
             diverged += 1
     converged = [r for r in runs if r.converged]

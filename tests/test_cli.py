@@ -188,8 +188,8 @@ class TestCenter:
         ],
     )
     def test_reports_match_golden(self, tmp_path, command, job, flags, report):
-        # the golden reports were written by the per-atom measure
-        # implementation that the array measure replaced
+        # re-recorded when x.y in the Mobius kernel became a stacked per-row
+        # dot: every energy evaluation moved at the last bit
         out = tmp_path / "report.json"
         assert run([command, "-i", str(GOLDEN / job), "-o", str(out), *flags]) == 0
         assert out.read_bytes() == (GOLDEN / report).read_bytes()

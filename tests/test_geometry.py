@@ -377,6 +377,22 @@ class TestFoldOnSphere:
             assert len(calls) <= (1 if inside else 2)
             outside += not inside
         assert outside > 20
+        # a block takes one pull-back pass and at most one push for any m
+        for m in (0, 1, 7, 300):
+            n = int(RNG.integers(2, 5))
+            h = random_halfspace(n)
+            rows = [random_ball(n) if RNG.uniform() < 0.7 else random_sphere(n)
+                    for _ in range(m)]
+            locations = np.array([geo.point(y).coords for y in rows]).reshape(m, n)
+            boundary = np.array([geo.point(y).is_boundary for y in rows], dtype=bool)
+            calls.clear()
+            geo.fold_map(h)(locations, boundary)
+            assert len(calls) <= 2
+            inside = np.array([geo.halfspace_contains(h, geo.point(y), tol=-1e-9)
+                               for y in rows], dtype=bool)
+            calls.clear()
+            geo.fold_map(h)(locations[inside], boundary[inside])
+            assert len(calls) == 1
 
     def test_fold_map_keeps_sphere_rows(self):
         h = geo.halfspace([1.0, 0.0], 0.2)
@@ -387,6 +403,62 @@ class TestFoldOnSphere:
         np.testing.assert_allclose(np.linalg.norm(images[:2], axis=1), 1.0, atol=1e-15)
         for y in images:
             assert geo.halfspace_contains(h, y, tol=1e-12)
+
+
+INVARIANCE_RADII = (0.0, 0.9, 1.0 - 1e-6, 1.0 - 1e-10)
+
+
+def invariance_block(n, m=120, rng=RNG):
+    """m rows of the closed ball in dimension n: spread interior rows, rows
+    within 1e-10 of the sphere (kept interior) and sphere rows."""
+    u = rng.normal(size=(m, n))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    radii = rng.uniform(0.0, 1.0, size=m)
+    near = rng.uniform(size=m) < 0.3
+    radii[near] = 1.0 - rng.uniform(1e-16, 1e-10, size=near.sum())
+    boundary = rng.uniform(size=m) < 0.2
+    radii[boundary] = 1.0
+    return u * radii[:, None], boundary
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestBatchInvariance:
+    """A row's result depends on that row alone, never on its block."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", INVARIANCE_RADII)
+    def test_kernel_rows_match_one_row_calls(self, n, r):
+        rng = np.random.default_rng(n)
+        locations, boundary = invariance_block(n, rng=rng)
+        u = rng.normal(size=n)
+        x = r * (u / np.linalg.norm(u))
+        block = geo.mobius_batch(x, locations, *geo.row_prep(locations, boundary), boundary)
+        for i in range(len(locations)):
+            rows, bd = locations[i:i + 1], boundary[i:i + 1]
+            one = geo.mobius_batch(x, rows, *geo.row_prep(rows, bd), bd)
+            for field in geo.MobiusBatch._fields:
+                np.testing.assert_array_equal(
+                    _bits(getattr(block, field)[i]), _bits(getattr(one, field)[0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", INVARIANCE_RADII)
+    def test_array_maps_match_single_points(self, n, r):
+        rng = np.random.default_rng(10 + n)
+        locations, boundary = invariance_block(n, rng=rng)
+        p = rng.normal(size=n)
+        p /= np.linalg.norm(p)
+        ys = [geo.BallPoint(y, geo.Locus.BOUNDARY if b else geo.Locus.INTERIOR)
+              for y, b in zip(locations, boundary)]
+        images, _ = geo.mobius_map(r * p)(locations, boundary)
+        expected = np.array([geo.mobius(r * p, y).coords for y in ys])
+        np.testing.assert_array_equal(_bits(images), _bits(expected))
+        h = geo.halfspace(p, r)
+        images, _ = geo.fold_map(h)(locations, boundary)
+        expected = np.array([geo.fold(h, y).coords for y in ys])
+        np.testing.assert_array_equal(_bits(images), _bits(expected))
 
 
 class TestDistanceConvexityAlongGeodesics:
@@ -515,6 +587,14 @@ def geometry_record(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_geometry_values_bit_identical(n):
-    # recorded before fold, kernel_K and hyp_distance shared one row prep
+    # single-point and fold_map entries recorded before the Mobius kernel
+    # became batch-invariant; only the mobius_map entries were re-recorded
     expected = json.loads(GEOMETRY_GOLDEN.read_text())[str(n)]
     assert geometry_record(n) == expected
+    # each mobius_map row equals the recorded one-point mobius at that (x, y)
+    k = len(expected["mobius"]) // len(expected["mobius_map"])
+    for i, entry in enumerate(expected["mobius_map"]):
+        points = [e.split(" ", 1) for e in expected["mobius"][i * k:(i + 1) * k]]
+        rows = [coords for _, coords in points]
+        mask = [locus == geo.Locus.BOUNDARY.value for locus, _ in points]
+        assert entry == " ".join([*rows, str(mask)])

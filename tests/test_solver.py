@@ -414,7 +414,9 @@ def solve_record(result):
 class TestSolveGolden:
     @pytest.mark.parametrize("name", sorted(golden_solves()))
     def test_trace_bit_identical(self, name):
-        # recorded by the solver that evaluated each accepted point twice
+        # re-recorded when x.y in the Mobius kernel became a stacked per-row
+        # dot and sphere rows kept their own |y|^2: each solve still takes
+        # the branches named in golden_solves
         ctx, opts = golden_solves()[name]
         expected = json.loads(GOLDEN.read_text())[name]
         assert solve_record(sv.solve_center(ctx, opts)) == expected
