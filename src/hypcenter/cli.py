@@ -233,7 +233,7 @@ def run_energy(args: argparse.Namespace) -> int:
         g = geodesic(base, sign * direction)
         for tau in np.linspace(0.0, tau_max, count):
             x = geodesic_point(g, math.tanh(tau)).coords
-            energy, field = energy_and_field(ctx, x)
+            energy, field, _ = energy_and_field(ctx, x)
             samples.append(
                 {
                     "direction": int(sign),

@@ -7,7 +7,8 @@ For a weight g and an atomic measure the field is
 and the renormalized energy sums the kernel K(x, y): the difference of
 weighted antiderivatives for interior atoms, and the Busemann-type logarithm
 (1/2) log(|x+y|^2 / (1-|x|^2)) for sphere atoms.  The euclidean gradient of
-the energy is V(x)/(1-|x|^2), so zeros of V are exactly the critical points.
+the energy is V(x)/(1-|x|^2), so zeros of V are exactly the critical points,
+and its Hessian is a closed form in the same per-atom data (_hessian).
 
 When the measure touches the sphere the context rescales the weight so
 g(1) = 1; both kernel branches then share the same normalization and the
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from typing import Callable, Union
 
 import numpy as np
 
@@ -40,7 +42,9 @@ from .geometry import (
     point,
 )
 from .measures import AtomicMeasure, Support, ValidationReport, validate
-from .weights import RadialWeight, eval_G_rs, eval_g_rs, normalized_for_boundary
+from .weights import (
+    RadialWeight, eval_dg_rs, eval_G_rs, eval_g_rs, normalized_for_boundary
+)
 
 XLike = Union[BallPoint, np.ndarray, list]
 
@@ -125,8 +129,8 @@ def _fsum_vector(contrib: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(col) for col in contrib.T.tolist()])
 
 
-def _field_contrib(ctx: EnergyContext, batch: MobiusBatch) -> np.ndarray:
-    """Per-atom field contributions w_i g(|T_x(y_i)|) direction_i.
+def _radial_terms(ctx: EnergyContext, batch: MobiusBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Per-atom profile values g(|T_x(y_i)|) and unit directions of the images.
 
     Directions are the images normalized by their own euclidean norm, so they
     are unit vectors to machine precision even where the image coordinates
@@ -143,13 +147,44 @@ def _field_contrib(ctx: EnergyContext, batch: MobiusBatch) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->i", batch.images, batch.images))
     with np.errstate(invalid="ignore", divide="ignore"):
         units = np.where(norms[:, None] > 0.0, batch.images / norms[:, None], 0.0)
-    return (ctx.measure.weights * g_vals)[:, None] * units
+    return g_vals, units
+
+
+def _field(ctx: EnergyContext, g_vals: np.ndarray, units: np.ndarray) -> np.ndarray:
+    return _fsum_vector((ctx.measure.weights * g_vals)[:, None] * units)
 
 
 def field_V(ctx: EnergyContext, x: XLike) -> np.ndarray:
     """The integrated radial field V(x); its zeros are the sought centers."""
     xv = _as_interior_coords(ctx, x)
-    return _fsum_vector(_field_contrib(ctx, _batch(ctx.measure, xv)))
+    return _field(ctx, *_radial_terms(ctx, _batch(ctx.measure, xv)))
+
+
+def _hessian(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch,
+             g_vals: np.ndarray, units: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean Hessian of the energy at x from the batch of its field V.
+
+    Along the geodesic to an atom the term G(s) has second derivative dg/ds;
+    across it, g times the Hessian of distance in curvature -4 (Petersen,
+    Riemannian Geometry), 2 g coth(2s) = g (1 + r^2)/r, which tends to dg/ds(0)
+    as r -> 0.  A sphere atom's Busemann term has 0 and 2 g(1).  Scaled by the
+    metric (1-|x|^2)^-2, this is the Riemannian Hessian; the conformal factor
+    adds sigma grad^T + grad sigma^T - (sigma . grad) I, sigma = 2x/(1-|x|^2).
+    Non-finite when dg/ds is (arctanh_power p < 2 with an atom at r = 0).
+    """
+    r = batch.radii
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        radial = eval_dg_rs(ctx.weight, r, batch.arclengths, batch.one_minus_r2)
+        across = np.where(r > 0.0, g_vals * (1.0 + r * r) / r, radial)
+        radial[ctx.measure.boundary_mask] = 0.0
+        w = ctx.measure.weights
+        along = units * (w * (radial - across))[:, None]
+        eye = np.eye(len(xv))
+        hess = np.einsum("ki,kj->ij", along, units) + float(w @ across) * eye
+    omx = one_minus_sq_norm(xv)
+    sigma, grad = 2.0 * xv / omx, v / omx
+    conformal = np.outer(sigma, grad)
+    return hess / (omx * omx) + conformal + conformal.T - float(sigma @ grad) * eye
 
 
 def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.ndarray:
@@ -187,13 +222,20 @@ def renormalized_energy(ctx: EnergyContext, x: XLike) -> float:
     return float(math.fsum((ctx.measure.weights * vals).tolist()))
 
 
-def energy_and_field(ctx: EnergyContext, x: XLike) -> tuple[float, np.ndarray]:
-    """Energy and field from a single Mobius pass (solver hot path)."""
+def energy_and_field(
+    ctx: EnergyContext, x: XLike
+) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
+    """Energy, field V and euclidean Hessian from a single Mobius pass (solver
+    hot path).  The Hessian comes as a no-argument function that assembles it
+    from the same pass when called, so a point whose Hessian is never read (a
+    descent step, a rejected trial) does not pay for it."""
     xv = _as_interior_coords(ctx, x)
     batch = _batch(ctx.measure, xv)
     vals = _kernel_terms(ctx, xv, batch)
     energy = float(math.fsum((ctx.measure.weights * vals).tolist()))
-    return energy, _fsum_vector(_field_contrib(ctx, batch))
+    g_vals, units = _radial_terms(ctx, batch)
+    v = _field(ctx, g_vals, units)
+    return energy, v, partial(_hessian, ctx, xv, batch, g_vals, units, v)
 
 
 def kernel_K(ctx: EnergyContext, x: XLike, y: BallPoint) -> float:

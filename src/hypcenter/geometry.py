@@ -352,13 +352,20 @@ def geodesic(base: PointLike, direction: Sequence[float]) -> Geodesic:
     return Geodesic(b, d / nd)
 
 
+def geodesic_points(g: Geodesic, ts: Sequence[float]) -> np.ndarray:
+    """Chart points T_base(t * dir) of a block of parameters in one kernel
+    pass; row k equals geodesic_point(g, ts[k]) bit for bit."""
+    if not all(-1.0 < t < 1.0 for t in ts):
+        raise DomainError(f"chart parameters {list(ts)!r} outside (-1, 1)")
+    rows = np.multiply.outer(ts, g.dir)
+    interior = np.zeros(len(ts), dtype=bool)
+    _clamp_inside(rows, interior)
+    return _images(g.base.coords, rows, interior)
+
+
 def geodesic_point(g: Geodesic, t: float) -> BallPoint:
     """Chart point T_base(t * dir); hyperbolic arclength from base is arctanh|t|."""
-    if not -1.0 < t < 1.0:
-        raise DomainError(f"chart parameter t = {t!r} outside (-1, 1)")
-    row = (t * g.dir)[None]
-    _clamp_inside(row, _NO_SPHERE)
-    return BallPoint(_images(g.base.coords, row, _NO_SPHERE)[0], Locus.INTERIOR)
+    return BallPoint(geodesic_points(g, [t])[0], Locus.INTERIOR)
 
 
 def geodesic_through(a: PointLike, b: PointLike) -> Geodesic:

@@ -29,8 +29,10 @@ from .errors import DomainError
 from .geometry import (
     BallPoint,
     Geodesic,
+    Locus,
     geodesic,
     geodesic_point,
+    geodesic_points,
     mobius,
     one_minus_sq_norm,
     point,
@@ -113,7 +115,8 @@ def _random_interior(rng: np.random.Generator, n: int, radius: float) -> np.ndar
 def _second_difference(g: Geodesic, f: Callable[[BallPoint], float], tau: float) -> float:
     """Second difference of f along g in arclength tau, at h = TOL.convexity_step."""
     h = TOL.convexity_step
-    vals = [f(geodesic_point(g, math.tanh(tau + k * h))) for k in (-1, 0, 1)]
+    chart = geodesic_points(g, [math.tanh(tau + k * h) for k in (-1, 0, 1)])
+    vals = [f(BallPoint(row, Locus.INTERIOR)) for row in chart]
     return (vals[0] - 2.0 * vals[1] + vals[2]) / h**2
 
 

@@ -4,10 +4,11 @@ The iterate moves along exact hyperbolic geodesics, x <- T_x(-tanh(tau) V/|V|),
 with an Armijo-backtracked arclength step; along a unit-speed geodesic the
 energy's directional derivative is -|V|, so the sufficient-decrease test reads
 E_new <= E - c1 tau |V|.  A Newton-accelerated strategy builds a trust-region
-quadratic model from finite differences of the gradient and falls back to the
-descent step whenever the model is not positive definite or fails to decrease
-the energy.  Each trial point costs one energy_and_field pass, whose field an
-accepted point keeps.
+quadratic model from the closed-form Hessian of the current point and falls
+back to the descent step whenever that Hessian is not finite and positive
+definite or the trial fails to decrease the energy.  Each trial point costs
+one energy_and_field pass; an accepted point keeps its field and the means to
+assemble its Hessian from that pass.
 
 Non-convergence is a result state (converged=False), with one exception:
 iterates escaping to the boundary without residual decrease raise
@@ -24,10 +25,11 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.stats import qmc
 
 from .errors import DivergentIterates, DomainError
-from .energy import EnergyContext, energy_and_field, energy_context, field_V
+from .energy import EnergyContext, energy_and_field, energy_context
 from .geometry import (
     BallPoint,
     Locus,
@@ -41,7 +43,6 @@ from .weights import Monotonicity
 
 ARMIJO_DECREASE = 1e-4
 ARMIJO_BACKTRACK = 0.5
-NEWTON_FD_STEP = 1e-5
 BOUNDARY_ESCAPE = 1e-14
 CLUSTER_TOL = 1e-6
 MULTISTART_RADIUS = math.tanh(2.0)
@@ -104,8 +105,9 @@ class SolveOptions:
             raise DomainError("tol_residual must be positive")
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
-        if not isinstance(self.multistart, numbers.Integral):
-            raise DomainError("multistart must be an integer")
+        starts = self.multistart
+        if isinstance(starts, bool) or not isinstance(starts, numbers.Integral) or starts < 1:
+            raise DomainError(f"multistart must be an integer >= 1, not {starts!r}")
         try:  # accepts a Strategy or its name
             object.__setattr__(self, "strategy", Strategy(self.strategy))
         except ValueError as exc:
@@ -188,29 +190,16 @@ def _step(x: np.ndarray, direction: np.ndarray, tau: float) -> np.ndarray:
     return translate_coords(x, math.tanh(tau) * direction)
 
 
-def _newton_step(
-    ctx: EnergyContext, x: np.ndarray, v: np.ndarray
-) -> np.ndarray | None:
+def _newton_step(x: np.ndarray, v: np.ndarray, hess: np.ndarray) -> np.ndarray | None:
     """Trust-region Newton trial step, or None when the model is unusable."""
-    n = x.shape[0]
-    omx = one_minus_sq_norm(x)
-    h = NEWTON_FD_STEP * omx
-    grad0 = v / omx
-    hess = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        if np.linalg.norm(x + e) >= 1.0 or np.linalg.norm(x - e) >= 1.0:
-            return None
-        gp = field_V(ctx, x + e) / one_minus_sq_norm(x + e)
-        gm = field_V(ctx, x - e) / one_minus_sq_norm(x - e)
-        hess[:, j] = (gp - gm) / (2.0 * h)
-    hess = 0.5 * (hess + hess.T)
+    if not np.isfinite(hess).all():
+        return None
     try:
         low = np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
         return None
-    delta = -np.linalg.solve(hess, grad0)
+    omx = one_minus_sq_norm(x)
+    delta = -cho_solve((low, True), v / omx, check_finite=False)
     # keep the trial inside the ball with margin
     trust = 0.5 * omx
     nd = float(np.linalg.norm(delta))
@@ -235,7 +224,7 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
     cls = classify_hypotheses(ctx)
     scale = ctx.residual_scale()
     x = _initial_coords(ctx, opts)
-    e_x, v = energy_and_field(ctx, x)
+    e_x, v, hessian = energy_and_field(ctx, x)
     res = float(np.linalg.norm(v)) / scale
     res0 = res
     best = (x, res, e_x, 0)
@@ -248,11 +237,11 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
         iters += 1
         moved = False
         if opts.strategy is Strategy.NEWTON_ACCELERATED:
-            trial = _newton_step(ctx, x, v)
+            trial = _newton_step(x, v, hessian())
             if trial is not None:
-                e_t, v_t = energy_and_field(ctx, trial)
+                e_t, v_t, h_t = energy_and_field(ctx, trial)
                 if e_t < e_x:
-                    x, e_x, v = trial, e_t, v_t
+                    x, e_x, v, hessian = trial, e_t, v_t, h_t
                     moved = True
         if not moved:
             vnorm = float(np.linalg.norm(v))
@@ -269,7 +258,7 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
             slack = 1e-15 * (1.0 + abs(e_x))
             while tau > 1e-15:
                 x_t = _step(x, direction, tau)
-                e_t, v_t = energy_and_field(ctx, x_t)
+                e_t, v_t, h_t = energy_and_field(ctx, x_t)
                 armijo = e_t <= e_x - ARMIJO_DECREASE * tau * vnorm
                 if armijo or (
                     e_t <= e_x + slack and float(np.linalg.norm(v_t)) < vnorm
@@ -292,7 +281,7 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
                     gain = max(1.0, 0.5 * gain_eff)
             else:
                 gain = max(1.0, gain_eff)
-            x, e_x, v = x_t, e_t, v_t
+            x, e_x, v, hessian = x_t, e_t, v_t, h_t
         res = float(np.linalg.norm(v)) / scale
         trace.append((e_x, res))
         if res < best[1]:

@@ -8,8 +8,10 @@ point grid at construction together with the declared monotonicity.
 
 Every G is a closed form in consistent (r, s = arctanh r) pairs, accurate up
 to the sphere; ``log_damped`` and ``table`` go through partial fractions of
-r/(1-r^2) (_log_damped_G, _table_pieces).  Adaptive quadrature lives only in
-the oracle, which checks these forms against it.
+r/(1-r^2) (_log_damped_G, _table_pieces).  So is dg/ds = g'(r)(1 - r^2), the
+arclength slope the energy's Hessian needs, finite up to the sphere.
+Adaptive quadrature lives only in the oracle, which checks these forms
+against it.
 """
 
 from __future__ import annotations
@@ -69,8 +71,10 @@ class RadialWeight:
     profile has no finite boundary value.  ``positive_interior`` records the
     grid-verified claim g(r) > 0 for 0 < r < 1, which the uniqueness
     hypotheses condition on.  The factory of each kind supplies the unscaled
-    profile ``g_unscaled(r, s)`` and antiderivative ``G_unscaled(r, s, 1 - r^2)``
-    in consistent (r, s = arctanh r) pairs.
+    profile ``g_unscaled(r, s)``, antiderivative ``G_unscaled(r, s, 1 - r^2)``
+    and arclength slope ``dg_unscaled(r, s, 1 - r^2)`` in consistent
+    (r, s = arctanh r) pairs; at a kink the slope is one-sided, from the branch
+    that G takes there.
     """
 
     kind: str
@@ -82,6 +86,7 @@ class RadialWeight:
     positive_interior: bool = False
     g_unscaled: Callable = field(kw_only=True, repr=False)
     G_unscaled: Callable = field(kw_only=True, repr=False)
+    dg_unscaled: Callable = field(kw_only=True, repr=False)
 
     def describe(self) -> dict:
         """JSON-compatible description (round-trips through weight_from_config)."""
@@ -138,20 +143,22 @@ def eval_g(w: RadialWeight, r):
     return out
 
 
+def _log_L(u):
+    """log(2/(1 - tanh u)), without cancellation near the sphere."""
+    return 2.0 * u + np.log1p(np.exp(-2.0 * u))
+
+
 def _log_damped_G(s):
     """Splitting r/(1-r^2) = (1/(1-r) - 1/(1+r))/2, the first half integrates
     to (1/2) log(L/ln 2); the second, after u = L, to (1/2) of
     int_{ln 2}^L du/(u(e^u - 1)) = sum_k E_1(k ln 2) - int_L^inf, whose tail
     is taken in v = log u.  For s <= 1, where the halves cancel, G is the
     arclength integral of g(tanh u) = tanh(u)/L(u) itself."""
-    def log_L(u):  # log(2/(1 - tanh u)), without cancellation near the sphere
-        return 2.0 * u + np.log1p(np.exp(-2.0 * u))
-
     out = np.empty(np.shape(s))
     near = s <= 1.0
     u = np.multiply.outer(0.5 * s[near], 1.0 + _GL16[0])
-    out[near] = 0.5 * s[near] * ((np.tanh(u) / log_L(u)) @ _GL16[1])
-    L = log_L(s[~near])
+    out[near] = 0.5 * s[near] * ((np.tanh(u) / _log_L(u)) @ _GL16[1])
+    L = _log_L(s[~near])
     lo = np.minimum(np.log(L), _TAIL_VMAX)
     v = lo[:, None] + np.multiply.outer(0.5 * (_TAIL_VMAX - lo), 1.0 + _GL24[0])
     tail = 0.5 * (_TAIL_VMAX - lo) * ((1.0 / np.expm1(np.exp(v))) @ _GL24[1])
@@ -197,6 +204,13 @@ def eval_G_rs(w: RadialWeight, r, s, one_minus_r2=None):
     if one_minus_r2 is None:
         one_minus_r2 = (1.0 - r) * (1.0 + r)
     return w.scale * w.G_unscaled(r, np.asarray(s, dtype=float), one_minus_r2)
+
+
+def eval_dg_rs(w: RadialWeight, r, s, one_minus_r2):
+    """Scaled dg/ds = g'(r)(1 - r^2) given consistent (r, s, 1 - r^2) rows."""
+    return w.scale * w.dg_unscaled(
+        np.asarray(r, dtype=float), np.asarray(s, dtype=float), one_minus_r2
+    )
 
 
 def eval_G(w: RadialWeight, r):
@@ -250,6 +264,7 @@ def identity() -> RadialWeight:
             "identity", {}, Monotonicity.STRICTLY_INCREASING, 1.0, True,
             g_unscaled=lambda r, s: r,
             G_unscaled=lambda r, s, om: -0.5 * np.log(om),
+            dg_unscaled=lambda r, s, om: om,
         )
     )
 
@@ -272,6 +287,7 @@ def arctanh_power(p: float) -> RadialWeight:
             True,
             g_unscaled=lambda r, s: s ** (p - 1.0),
             G_unscaled=lambda r, s, om: s**p / p,
+            dg_unscaled=lambda r, s, om: (p - 1.0) * s ** (p - 2.0),  # inf at 0 if p < 2
         )
     )
 
@@ -289,6 +305,9 @@ def min_r_arctanh_inv() -> RadialWeight:
             g_unscaled=g,
             G_unscaled=lambda r, s, om: np.where(
                 s <= 1.0, 0.5 * s * s, 0.5 + np.log(np.maximum(s, 5e-324))
+            ),
+            dg_unscaled=lambda r, s, om: np.where(
+                s <= 1.0, 1.0, -1.0 / np.maximum(s, 1.0) ** 2
             ),
         )
     )
@@ -316,6 +335,7 @@ def clamped_linear(c: float) -> RadialWeight:
             True,
             g_unscaled=lambda r, s: np.minimum(r, c),
             G_unscaled=G,
+            dg_unscaled=lambda r, s, om: np.where(r <= c, om, 0.0),
         )
     )
 
@@ -331,10 +351,15 @@ def log_damped() -> RadialWeight:
             den = np.log(2.0 / np.maximum(1.0 - r, 5e-324))
         return np.where(r >= 1.0, 0.0, r / den)
 
+    def dg(r, s, om):  # (1 - r^2)/L - r(1 + r)/L^2
+        L = _log_L(s)
+        return (om - r * (1.0 + r) / L) / L
+
     return _spot_check(
         RadialWeight(
             "log_damped", {}, Monotonicity.NONE, 0.0, True,
             g_unscaled=g, G_unscaled=lambda r, s, om: _log_damped_G(s),
+            dg_unscaled=dg,
         )
     )
 
@@ -382,6 +407,7 @@ def clamped_arctanh(pieces: Sequence[Sequence[float]]) -> RadialWeight:
             True,
             g_unscaled=g,
             G_unscaled=G,
+            dg_unscaled=lambda r, s, om: _gather(rows, s)[1],
         )
     )
 
@@ -419,6 +445,12 @@ def table(
         rows = _gather(pieces, r)
         return rows[2] + _table_rise(rows, r, s)
 
+    def dg(r, s, om):
+        # p'(t) = beta(1 - t^2) - 2t(alpha + beta x) + b from the division
+        _table_cover(rmax, r)
+        r0, _, _, alpha, beta, _, b = _gather(pieces, r)
+        return om * (beta * om - 2.0 * r * (alpha + beta * (r - r0)) + b)
+
     return _spot_check(
         RadialWeight(
             "table",
@@ -428,6 +460,7 @@ def table(
             divergent_G,
             g_unscaled=lambda r, s: interp(np.minimum(r, _table_cover(rmax, r))),
             G_unscaled=G,
+            dg_unscaled=dg,
         ),
         upper=rmax,
     )

@@ -161,6 +161,18 @@ class TestCenter:
                     "--multistart", "12"]) == 2
         assert json.loads(open(out).read())["uniqueness"]["kind"] == "ambiguous"
 
+    @pytest.mark.parametrize(
+        "flags, options",
+        [(["--multistart", "-3"], {}), (["--multistart", "0"], {}),
+         ([], {"multistart": True}), ([], {"multistart": 0})],
+    )
+    def test_bad_multistart_is_usage_error(self, tmp_path, capsys, flags, options):
+        job = write_job(tmp_path, dict(SPHERE3, options=options))
+        out = tmp_path / "report.json"
+        assert run(["center", "--input", job, "--output", str(out), *flags]) == 1
+        assert "multistart" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_newton_strategy_flag(self, tmp_path):
         job = write_job(tmp_path, SPHERE3)
         out = str(tmp_path / "report.json")
@@ -189,7 +201,8 @@ class TestCenter:
     )
     def test_reports_match_golden(self, tmp_path, command, job, flags, report):
         # re-recorded when x.y in the Mobius kernel became a stacked per-row
-        # dot: every energy evaluation moved at the last bit
+        # dot: every energy evaluation moved at the last bit; the newton
+        # report again when the Newton model took the closed-form Hessian
         out = tmp_path / "report.json"
         assert run([command, "-i", str(GOLDEN / job), "-o", str(out), *flags]) == 0
         assert out.read_bytes() == (GOLDEN / report).read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from hypcenter import energy as en
 from hypcenter import geometry as geo
 from hypcenter import measures as ms
+from hypcenter import oracle as orc
 from hypcenter import weights as wt
 from hypcenter.errors import DomainError, NotBoundaryCompatible
 
@@ -229,7 +230,7 @@ class TestRenormalizedEnergy:
     def test_energy_and_field_consistent(self):
         ctx = mixed_context()
         x = [0.2, 0.3]
-        e, v = en.energy_and_field(ctx, x)
+        e, v, _ = en.energy_and_field(ctx, x)
         assert e == en.renormalized_energy(ctx, x)
         np.testing.assert_array_equal(v, en.field_V(ctx, x))
 
@@ -304,6 +305,84 @@ class TestGradient:
     def test_symmetric_context_critical_at_origin(self):
         ctx = sphere_triangle()
         assert np.linalg.norm(en.energy_gradient(ctx, [0.0, 0.0])) < 1e-14
+
+
+# one weight of each kind; the last four have g(1) > 0 and take sphere atoms
+HESSIAN_WEIGHTS = {
+    "arctanh_power": wt.arctanh_power(2.5),
+    "min_r_arctanh_inv": wt.min_r_arctanh_inv(),
+    "log_damped": wt.log_damped(),
+    "identity": wt.identity(),
+    "clamped_linear": wt.clamped_linear(0.6),
+    "clamped_arctanh": staircase_weight(),
+    "table": wt.table([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.2, 0.45, 0.7, 1.0]),
+}
+SPHERE_KINDS = ("identity", "clamped_linear", "clamped_arctanh", "table")
+
+
+def hessian_measure(n, support, rng):
+    """Positive atoms: interior at hyperbolic radii up to 2.5, sphere, or both."""
+    def unit():
+        d = rng.normal(size=n)
+        return d / np.linalg.norm(d)
+
+    inner = [(unit() * TANH(rng.uniform(0.0, 2.5)), rng.uniform(0.2, 1.0)) for _ in range(6)]
+    sphere = [(unit(), rng.uniform(0.2, 1.0)) for _ in range(4)]
+    atoms = {"interior": inner, "sphere": sphere, "mixed": inner[:3] + sphere[:3]}
+    return ms.atomic_measure(atoms[support])
+
+
+def fd_hessian(ctx, x, step=1e-4):
+    """Mixed central differences of the oracle's atomwise energy, never of the
+    field or the gradient code."""
+    h = step * (1.0 - float(x @ x))
+    steps = h * np.eye(len(x))
+    energy = lambda z: orc._atomwise_energy(ctx, z)
+    return np.array([
+        [
+            (energy(x + a + b) - energy(x + a - b) - energy(x - a + b) + energy(x - a - b))
+            / (4.0 * h * h)
+            for b in steps
+        ]
+        for a in steps
+    ])
+
+
+class TestHessian:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "kind, support",
+        [(k, "interior") for k in HESSIAN_WEIGHTS]
+        + [(k, s) for k in SPHERE_KINDS for s in ("sphere", "mixed")],
+    )
+    def test_matches_second_differences_of_atomwise_energy(self, kind, support, n):
+        rng = np.random.default_rng(sorted(HESSIAN_WEIGHTS).index(kind) + 10 * n)
+        ctx = en.energy_context(HESSIAN_WEIGHTS[kind], hessian_measure(n, support, rng))
+        for radius in (0.0, 0.4, 0.9):
+            x = radius * hessian_measure(n, "sphere", rng).locations[0]
+            hess = en.energy_and_field(ctx, x)[2]()
+            fd = fd_hessian(ctx, x)
+            assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("kind", ["identity", "log_damped", "clamped_arctanh"])
+    def test_atom_mapped_to_origin(self, kind):
+        # T_x(y) = 0 exactly for y = -x with dyadic coordinates: the
+        # tangential term takes its r -> 0 limit dg/ds(0).  log_damped's g is
+        # not odd in s, so its term is only C^2 there (a |x - x_0|^3 part) and
+        # the differences are extrapolated past their O(h) error
+        atoms = [([0.25, -0.5], 1.0), ([-0.3, 0.1], 0.7), ([0.6, 0.2], 0.5)]
+        ctx = en.energy_context(HESSIAN_WEIGHTS[kind], ms.atomic_measure(atoms))
+        x = np.array([-0.25, 0.5])
+        hess = en.energy_and_field(ctx, x)[2]()
+        fd = 2.0 * fd_hessian(ctx, x, 5e-5) - fd_hessian(ctx, x, 1e-4)
+        assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_non_finite_where_the_slope_is(self):
+        atoms = [([0.25, -0.5], 1.0), ([-0.3, 0.1], 0.7)]
+        ctx = en.energy_context(wt.arctanh_power(1.5), ms.atomic_measure(atoms))
+        _, v, hessian = en.energy_and_field(ctx, [-0.25, 0.5])
+        assert np.isfinite(v).all()
+        assert not np.isfinite(hessian()).all()
 
 
 class TestContextRules:

@@ -237,6 +237,16 @@ class TestGeodesics:
         with pytest.raises(DomainError):
             geo.geodesic_point(g, 1.0)
 
+    def test_block_rows_equal_single_points(self):
+        g = geo.geodesic([0.31, -0.42, 0.05], [0.3, 1.0, -0.7])
+        ts = [-0.999, -0.3, 0.0, math.tanh(0.401), 1.0 - 1e-16]
+        block = geo.geodesic_points(g, ts)
+        for t, row in zip(ts, block):
+            assert row.tobytes() == geo.geodesic_point(g, t).coords.tobytes()
+        for bad in ([0.5, 1.0], [-1.0], [math.nan]):
+            with pytest.raises(DomainError):
+                geo.geodesic_points(g, bad)
+
     def test_through_two_interior_points(self):
         a, b = [0.1, 0.2], [-0.3, 0.4]
         g = geo.geodesic_through(a, b)

@@ -5,6 +5,7 @@ import pytest
 
 from hypcenter import energy as en
 from hypcenter import fixtures
+from hypcenter import geometry as geo
 from hypcenter import measures as ms
 from hypcenter import oracle as orc
 from hypcenter import weights as wt
@@ -176,6 +177,23 @@ class TestConvexity:
         ]
         second = (vals[0] - 2 * vals[1] + vals[2]) / h**2
         assert abs(second) < 1e-8
+
+    def test_second_difference_is_one_kernel_pass(self, monkeypatch):
+        # the three stencil points are one block, bit for bit the per-point values
+        g = geo.geodesic([0.31, -0.42, 0.05], [0.3, 1.0, -0.7])
+        f = lambda p: math.atanh(p.r)
+        h, tau = orc.TOL.convexity_step, 0.4
+        vals = [f(geo.geodesic_point(g, math.tanh(tau + k * h))) for k in (-1, 0, 1)]
+        calls = []
+        original = geo.mobius_batch
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(geo, "mobius_batch", counting)
+        assert orc._second_difference(g, f, tau) == (vals[0] - 2.0 * vals[1] + vals[2]) / h**2
+        assert len(calls) == 1
 
     def test_kernel_linearity_toward_antipode(self):
         report = orc.kernel_linearity_check(sphere_ctx(), samples=30, seed=6)

@@ -129,6 +129,11 @@ class TestSolveCenter:
         assert newton.converged
         assert geo.hyp_distance(descent.x_c, newton.x_c) < 1e-8
 
+    @pytest.mark.parametrize("starts", [0, -3, True, False, 2.0, "3"])
+    def test_bad_multistart_rejected(self, starts):
+        with pytest.raises(DomainError):
+            sv.SolveOptions(multistart=starts)
+
     def test_strategy_by_name(self):
         mu = sphere_measure(2, 9, np.random.default_rng(9))
         ctx = en.energy_context(wt.identity(), mu)
@@ -415,24 +420,50 @@ class TestSolveGolden:
     @pytest.mark.parametrize("name", sorted(golden_solves()))
     def test_trace_bit_identical(self, name):
         # re-recorded when x.y in the Mobius kernel became a stacked per-row
-        # dot and sphere rows kept their own |y|^2: each solve still takes
-        # the branches named in golden_solves
+        # dot and sphere rows kept their own |y|^2, and newton_interior_3d
+        # when the Newton model took the closed-form Hessian: each solve
+        # still takes the branches named in golden_solves
         ctx, opts = golden_solves()[name]
         expected = json.loads(GOLDEN.read_text())[name]
         assert solve_record(sv.solve_center(ctx, opts)) == expected
 
     @pytest.mark.parametrize("opts", [sv.SolveOptions(), NEWTON], ids=["descent", "newton"])
     def test_one_mobius_pass_per_point(self, monkeypatch, opts):
+        # the Newton model comes from the point's own pass: no extra kernel
+        # call at a finite-difference stencil point x +- h e_j
         ctx = en.energy_context(wt.identity(), interior_measure(3, 9, 0))
-        seen = []
-        original = en.mobius_batch
+        seen, points = [], []
+        original, evaluate = en.mobius_batch, sv.energy_and_field
 
         def counting(x, *rows):
-            seen.append(np.asarray(x, dtype=float).tobytes())
+            seen.append(np.array(x, dtype=float))
             return original(x, *rows)
 
+        def visiting(ctx, x):
+            points.append(x)
+            return evaluate(ctx, x)
+
         monkeypatch.setattr(en, "mobius_batch", counting)
+        monkeypatch.setattr(sv, "energy_and_field", visiting)
         result = sv.solve_center(ctx, opts)
         assert result.converged
         assert len(seen) > result.iterations
-        assert len(seen) == len(set(seen))
+        assert len(seen) == len(points)
+        assert len({x.tobytes() for x in seen}) == len(seen)
+        for i, x in enumerate(seen):
+            for y in seen[:i]:
+                assert np.count_nonzero(x != y) > 1
+
+    def test_non_finite_hessian_falls_back_to_descent(self):
+        # the start maps the atom [0.25, -0.5] to the origin, where
+        # arctanh_power(1.5) has dg/ds = inf: the first step is descent's
+        atoms = [([0.25, -0.5], 1.0), ([-0.3, 0.1], 0.7), ([0.6, 0.2], 0.5)]
+        ctx = en.energy_context(wt.arctanh_power(1.5), ms.atomic_measure(atoms))
+        start = [-0.25, 0.5]
+        assert not np.isfinite(en.energy_and_field(ctx, start)[2]()).all()
+        one = {"initial": start, "max_iters": 1}
+        newton = sv.solve_center(ctx, sv.SolveOptions(strategy="newton", **one))
+        descent = sv.solve_center(ctx, sv.SolveOptions(**one))
+        assert newton.trace == descent.trace
+        assert newton.x_c.coords.tobytes() == descent.x_c.coords.tobytes()
+        assert sv.solve_center(ctx, NEWTON).converged

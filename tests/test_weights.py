@@ -208,6 +208,53 @@ class TestClosedFormG:
                 assert node.attr not in ("quad", "integrate")
 
 
+# arclengths clear of every kink: staircase s = 1, 2; min_r s = 1; the
+# clamped_linear plateau s = atanh 0.5; the table knots atanh 0.25, 0.5, 0.75
+SLOPE_ARCS = (0.05, 0.3, 0.7, 1.2, 1.6, 2.4, 3.5, 6.0)
+
+
+class TestArclengthSlope:
+    @pytest.mark.parametrize(
+        "w",
+        [*ALL_WEIGHTS.values(), wt.arctanh_power(1.5), reference_table()],
+        ids=[*ALL_WEIGHTS, "arctanh_power_1.5", "reference_table"],
+    )
+    def test_matches_central_differences_of_g(self, w):
+        h = 1e-6
+        s = np.array(SLOPE_ARCS)
+        g = lambda t: wt.eval_g_rs(w, np.tanh(t), t)
+        fd = (g(s + h) - g(s - h)) / (2.0 * h)
+        slope = wt.eval_dg_rs(w, np.tanh(s), s, 1.0 / np.cosh(s) ** 2)
+        np.testing.assert_allclose(slope, fd, rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(ALL_WEIGHTS))
+    def test_origin_is_limit_of_g_over_r(self, name):
+        # the Hessian's tangential term g/r at r = 0
+        w = ALL_WEIGHTS[name]
+        r = 1e-9
+        limit = float(wt.eval_g_rs(w, r, math.atanh(r))) / r
+        slope = float(wt.eval_dg_rs(w, 0.0, 0.0, 1.0))
+        assert slope == pytest.approx(limit, rel=1e-8, abs=1e-8)
+
+    def test_arctanh_power_below_two_is_infinite_at_origin(self):
+        with np.errstate(divide="ignore"):
+            assert wt.eval_dg_rs(wt.arctanh_power(1.5), 0.0, 0.0, 1.0) == math.inf
+
+    @pytest.mark.parametrize("name", sorted(n for n, w in ALL_WEIGHTS.items() if w.g1 is not None))
+    def test_vanishes_on_the_sphere(self, name):
+        # a finite g(1) is reached with zero arclength slope
+        slope = wt.eval_dg_rs(ALL_WEIGHTS[name], 1.0, math.inf, 0.0)
+        assert float(slope) == 0.0
+
+    def test_scales_with_the_weight(self):
+        base = reference_table()
+        scaled = wt.weight_from_config({**base.describe(), "scale": 3.0})
+        args = (0.6, math.atanh(0.6), 0.64)
+        assert wt.eval_dg_rs(scaled, *args) == pytest.approx(
+            3.0 * wt.eval_dg_rs(base, *args), rel=1e-15
+        )
+
+
 def test_weights_import_nothing_from_geometry():
     # profiles are functions of (r, s); points belong to geometry
     for node in ast.walk(ast.parse(inspect.getsource(wt))):
