@@ -6,7 +6,9 @@ energy's directional derivative is -|V|, so the sufficient-decrease test reads
 E_new <= E - c1 tau |V|.  A Newton-accelerated strategy builds a trust-region
 quadratic model from the closed-form Hessian of the current point and falls
 back to the descent step whenever that Hessian is not finite and positive
-definite or the trial fails to decrease the energy.  Each trial point costs
+definite or the trial fails to decrease the energy; where the model's
+predicted decrease lies below the energy's rounding, a decrease of |V|
+accepts the trial instead, as in descent.  Each trial point costs
 one energy_and_field pass; an accepted point keeps its field and the means to
 assemble its Hessian from that pass.
 
@@ -190,8 +192,11 @@ def _step(x: np.ndarray, direction: np.ndarray, tau: float) -> np.ndarray:
     return translate_coords(x, math.tanh(tau) * direction)
 
 
-def _newton_step(x: np.ndarray, v: np.ndarray, hess: np.ndarray) -> np.ndarray | None:
-    """Trust-region Newton trial step, or None when the model is unusable."""
+def _newton_step(
+    x: np.ndarray, v: np.ndarray, hess: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """Trust-region Newton trial point and the model's predicted decrease
+    -(1/2) grad E . delta, or None when the model is unusable."""
     if not np.isfinite(hess).all():
         return None
     try:
@@ -199,7 +204,8 @@ def _newton_step(x: np.ndarray, v: np.ndarray, hess: np.ndarray) -> np.ndarray |
     except np.linalg.LinAlgError:
         return None
     omx = one_minus_sq_norm(x)
-    delta = -cho_solve((low, True), v / omx, check_finite=False)
+    grad = v / omx
+    delta = -cho_solve((low, True), grad, check_finite=False)
     # keep the trial inside the ball with margin
     trust = 0.5 * omx
     nd = float(np.linalg.norm(delta))
@@ -208,7 +214,7 @@ def _newton_step(x: np.ndarray, v: np.ndarray, hess: np.ndarray) -> np.ndarray |
     trial = x + delta
     if float(np.linalg.norm(trial)) >= 1.0 - 1e-12:
         return None
-    return trial
+    return trial, -0.5 * float(grad @ delta)
 
 
 def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> SolveResult:
@@ -236,15 +242,22 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
     while not converged and iters < opts.max_iters:
         iters += 1
         moved = False
+        vnorm = float(np.linalg.norm(v))
+        # once a decrease falls below the energy's floating-point resolution
+        # the energy test reads pure noise; there steps are accepted on a
+        # decrease of |V| instead
+        slack = 1e-15 * (1.0 + abs(e_x))
         if opts.strategy is Strategy.NEWTON_ACCELERATED:
-            trial = _newton_step(x, v, hessian())
-            if trial is not None:
+            step = _newton_step(x, v, hessian())
+            if step is not None:
+                trial, predicted = step
                 e_t, v_t, h_t = energy_and_field(ctx, trial)
-                if e_t < e_x:
+                if e_t < e_x or (
+                    predicted <= slack and float(np.linalg.norm(v_t)) < vnorm
+                ):
                     x, e_x, v, hessian = trial, e_t, v_t, h_t
                     moved = True
         if not moved:
-            vnorm = float(np.linalg.norm(v))
             direction = -v / vnorm
             # step proportional to |V|/total, with a gain that doubles on
             # clean acceptance and shrinks with backtracks: the bare rule
@@ -252,10 +265,6 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
             # iteration budget on ill-conditioned measures
             tau0 = min(1.0, gain * vnorm / scale)
             tau = tau0
-            # once tau*|V| falls below the energy's floating-point resolution
-            # the Armijo test reads pure noise; in that regime steps are
-            # accepted on a decrease of |V| instead
-            slack = 1e-15 * (1.0 + abs(e_x))
             while tau > 1e-15:
                 x_t = _step(x, direction, tau)
                 e_t, v_t, h_t = energy_and_field(ctx, x_t)

@@ -57,6 +57,13 @@ _GL16 = _gauss_legendre(16)
 _GL24 = _gauss_legendre(24)
 
 
+def _rule_sums(values: np.ndarray, rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per-row sums of node values against a rule's weights, as stacked one-row
+    dots: a gemv sums rows in blocks chosen for the whole array, so a row's
+    bits would depend on the block it sits in."""
+    return (values[:, None, :] @ rule[1][:, None])[:, 0, 0]
+
+
 class Monotonicity(Enum):
     STRICTLY_INCREASING = "strictly_increasing"
     INCREASING = "increasing"
@@ -157,11 +164,11 @@ def _log_damped_G(s):
     out = np.empty(np.shape(s))
     near = s <= 1.0
     u = np.multiply.outer(0.5 * s[near], 1.0 + _GL16[0])
-    out[near] = 0.5 * s[near] * ((np.tanh(u) / _log_L(u)) @ _GL16[1])
+    out[near] = 0.5 * s[near] * _rule_sums(np.tanh(u) / _log_L(u), _GL16)
     L = _log_L(s[~near])
     lo = np.minimum(np.log(L), _TAIL_VMAX)
     v = lo[:, None] + np.multiply.outer(0.5 * (_TAIL_VMAX - lo), 1.0 + _GL24[0])
-    tail = 0.5 * (_TAIL_VMAX - lo) * ((1.0 / np.expm1(np.exp(v))) @ _GL24[1])
+    tail = 0.5 * (_TAIL_VMAX - lo) * _rule_sums(1.0 / np.expm1(np.exp(v)), _GL24)
     out[~near] = 0.5 * (np.log(L / _LN2) - _E1_LN2_SUM + tail)
     return out
 

@@ -355,15 +355,20 @@ def test_measure_delta_separates_far_polar_atoms():
     assert sv.measure_delta(a, a) == 0.0
 
 
+def quadrature_measure(seed, i):
+    """Measure i of the quadrature benchmark workload at a seed."""
+    rng = np.random.default_rng([seed, zlib.crc32(b"quadrature_weights"), i])
+    count = 8 + i % 9
+    radii = np.tanh(rng.uniform(0.0, 2.0, size=count))
+    dirs = rng.normal(size=(count, 2))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    w = rng.uniform(0.2, 1.0, size=count)
+    return ms.atomic_measure(list(zip(radii[:, None] * dirs, w.tolist())))
+
+
 def test_newton_converges_under_table_on_former_stall():
     # seed-1 measure 9 of the quadrature benchmark workload: Newton under this
     # table stalled at residual 3e-7 while G came from adaptive quadrature
-    rng = np.random.default_rng([1, zlib.crc32(b"quadrature_weights"), 9])
-    radii = np.tanh(rng.uniform(0.0, 2.0, size=8))
-    dirs = rng.normal(size=(8, 2))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    w = rng.uniform(0.2, 1.0, size=8)
-    mu = ms.atomic_measure(list(zip(radii[:, None] * dirs, w.tolist())))
     table = wt.table(
         [0.0, 0.25, 0.5, 0.75, 1.0],
         [0.0, 0.2, 0.45, 0.7, 1.0],
@@ -371,9 +376,21 @@ def test_newton_converges_under_table_on_former_stall():
         divergent_G=True,
     )
     opts = sv.SolveOptions(strategy=sv.Strategy.NEWTON_ACCELERATED)
-    result = sv.solve_center(en.energy_context(table, mu), opts)
+    result = sv.solve_center(en.energy_context(table, quadrature_measure(1, 9)), opts)
     assert result.converged
     assert result.residual <= 1e-10
+
+
+def test_newton_accepts_below_energy_resolution():
+    # seed-47 measure 180 of the quadrature benchmark workload: the exact
+    # Newton step takes |V| from 1.5e-9 to 4.6e-15 while the energy comes out
+    # 3e-15 higher, so a trial judged on energy alone was rejected and descent
+    # stalled at residual 3.07e-10
+    ctx = en.energy_context(wt.log_damped(), quadrature_measure(47, 180))
+    result = sv.solve_center(ctx, sv.SolveOptions(strategy="newton"))
+    assert result.converged
+    assert result.residual <= 1e-15
+    assert result.trace[-1][0] > result.trace[-2][0]
 
 
 GOLDEN = Path(__file__).parent / "golden" / "solver_traces.json"
@@ -401,7 +418,8 @@ def golden_solves():
         # below the energy's resolution: |V|-decrease acceptances, then the
         # line search stalls and the solve ends unconverged
         "descent_slack_2d": (sphere1, sv.SolveOptions(tol_residual=1e-16)),
-        # two Newton trials rejected on energy, with descent fallbacks
+        # Newton trials only, the last accepted on a decrease of |V| while
+        # the energy rises by rounding noise
         "newton_interior_3d": (interior, NEWTON),
         "multistart_sphere_2d": (sphere0, sv.SolveOptions(multistart=4)),
     }
@@ -421,8 +439,9 @@ class TestSolveGolden:
     def test_trace_bit_identical(self, name):
         # re-recorded when x.y in the Mobius kernel became a stacked per-row
         # dot and sphere rows kept their own |y|^2, and newton_interior_3d
-        # when the Newton model took the closed-form Hessian: each solve
-        # still takes the branches named in golden_solves
+        # when the Newton model took the closed-form Hessian and again when
+        # its trials were accepted on |V| below the energy's resolution: each
+        # solve takes the branches named in golden_solves
         ctx, opts = golden_solves()[name]
         expected = json.loads(GOLDEN.read_text())[name]
         assert solve_record(sv.solve_center(ctx, opts)) == expected

@@ -412,3 +412,28 @@ def test_weight_values_bit_identical(name):
     # recorded before each kind's g and G moved into its factory
     expected = json.loads(WEIGHT_GOLDEN.read_text())[name]
     assert weight_record(golden_weights()[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(golden_weights()))
+def test_rows_match_one_row_calls(name):
+    # the energy evaluates many points' rows in one block: a row's bits must
+    # not depend on that block (log_damped's quadrature sums once did)
+    w = golden_weights()[name]
+    arcs = np.random.default_rng(3).uniform(0.0, 6.0, size=500)
+    r = np.tanh(arcs)
+    if w.kind == "table":
+        keep = r <= w.params["r"][-1]
+        arcs, r = arcs[keep], r[keep]
+    grid = np.concatenate([golden_grid(w), [r, arcs, 1.0 / np.cosh(arcs) ** 2]], axis=1)
+    r, s, om = grid
+    evals = {
+        "g": lambda i: wt.eval_g_rs(w, r[i], s[i]),
+        "G": lambda i: wt.eval_G_rs(w, r[i], s[i], om[i]),
+        "dg": lambda i: wt.eval_dg_rs(w, r[i], s[i], om[i]),
+    }
+    with np.errstate(all="ignore"):
+        for evaluate in evals.values():
+            block = evaluate(slice(None))
+            for i in range(len(r)):
+                one = evaluate(slice(i, i + 1))
+                assert block[i:i + 1].tobytes() == one.tobytes()
