@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -39,6 +39,7 @@ from .geometry import (
     _mobius_rows,
     mobius_batch,
     one_minus_sq_norm,
+    one_minus_sq_norms,
     point,
 )
 from .measures import AtomicMeasure, Support, ValidationReport, validate
@@ -110,13 +111,15 @@ def energy_context(weight: RadialWeight, measure: AtomicMeasure) -> EnergyContex
     )
 
 
-def _as_interior_coords(ctx: EnergyContext, x: XLike) -> np.ndarray:
+def _as_interior_coords(ctx: EnergyContext, x: XLike, block: bool = False) -> np.ndarray:
+    """The coordinates of x checked to lie in the open ball; with ``block``, x
+    may also be a (k, n) block of points."""
     v = x.coords if isinstance(x, BallPoint) else np.asarray(x, dtype=float)
-    if v.shape != (ctx.dimension,):
+    if v.ndim not in ((1, 2) if block else (1,)) or v.shape[-1] != ctx.dimension:
         raise DimensionMismatch(
             f"evaluation point has shape {v.shape}, measure dimension {ctx.dimension}"
         )
-    if not _in_open_ball(v):
+    if not all(map(_in_open_ball, v.reshape(-1, ctx.dimension))):
         raise DomainError("evaluation point must lie in the open ball")
     return v
 
@@ -125,8 +128,22 @@ def _batch(mu: AtomicMeasure, x: np.ndarray) -> MobiusBatch:
     return mobius_batch(x, mu.locations, *mu.radial_rows, mu.boundary_mask)
 
 
+def _fsum_last(terms: np.ndarray) -> list[float]:
+    """fsum over the last axis, one float per leading index, in C order."""
+    return [math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()]
+
+
 def _fsum_vector(contrib: np.ndarray) -> np.ndarray:
-    return np.array([math.fsum(col) for col in contrib.T.tolist()])
+    """Exact column sums of the (..., m, n) per-atom vectors: (..., n)."""
+    cols = np.swapaxes(contrib, -1, -2)
+    return np.array(_fsum_last(cols)).reshape(cols.shape[:-1])
+
+
+def _base_omx(xv: np.ndarray) -> np.ndarray | float:
+    """1 - |x|^2 of a point, or a (k, 1) column of it over a block."""
+    if xv.ndim == 1:
+        return one_minus_sq_norm(xv)
+    return one_minus_sq_norms(xv)[:, None]
 
 
 def _radial_terms(ctx: EnergyContext, batch: MobiusBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -139,19 +156,19 @@ def _radial_terms(ctx: EnergyContext, batch: MobiusBatch) -> tuple[np.ndarray, n
     if not ctx.any_boundary:
         g_vals = eval_g_rs(ctx.weight, batch.radii, batch.arclengths)
     else:
-        g_vals = np.empty(len(ctx.measure))
-        g_vals[ctx.interior] = eval_g_rs(
-            ctx.weight, batch.radii[ctx.interior], batch.arclengths[ctx.interior]
+        g_vals = np.empty(batch.radii.shape)
+        g_vals[..., ctx.interior] = eval_g_rs(
+            ctx.weight, batch.radii[..., ctx.interior], batch.arclengths[..., ctx.interior]
         )
-        g_vals[ctx.measure.boundary_mask] = ctx.weight.g1
-    norms = np.sqrt(np.einsum("ij,ij->i", batch.images, batch.images))
+        g_vals[..., ctx.measure.boundary_mask] = ctx.weight.g1
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", batch.images, batch.images))[..., None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        units = np.where(norms[:, None] > 0.0, batch.images / norms[:, None], 0.0)
+        units = np.where(norms > 0.0, batch.images / norms, 0.0)
     return g_vals, units
 
 
 def _field(ctx: EnergyContext, g_vals: np.ndarray, units: np.ndarray) -> np.ndarray:
-    return _fsum_vector((ctx.measure.weights * g_vals)[:, None] * units)
+    return _fsum_vector((ctx.measure.weights * g_vals)[..., None] * units)
 
 
 def field_V(ctx: EnergyContext, x: XLike) -> np.ndarray:
@@ -171,20 +188,29 @@ def _hessian(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch,
     metric (1-|x|^2)^-2, this is the Riemannian Hessian; the conformal factor
     adds sigma grad^T + grad sigma^T - (sigma . grad) I, sigma = 2x/(1-|x|^2).
     Non-finite when dg/ds is (arctanh_power p < 2 with an atom at r = 0).
+    At a block of points, the (k, n, n) stack of their Hessians.
     """
     r = batch.radii
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         radial = eval_dg_rs(ctx.weight, r, batch.arclengths, batch.one_minus_r2)
         across = np.where(r > 0.0, g_vals * (1.0 + r * r) / r, radial)
-        radial[ctx.measure.boundary_mask] = 0.0
+        radial[..., ctx.measure.boundary_mask] = 0.0
         w = ctx.measure.weights
-        along = units * (w * (radial - across))[:, None]
-        eye = np.eye(len(xv))
-        hess = np.einsum("ki,kj->ij", along, units) + float(w @ across) * eye
-    omx = one_minus_sq_norm(xv)
+        along = units * (w * (radial - across))[..., None]
+        eye = np.eye(xv.shape[-1])
+        hess = (np.einsum("...ki,...kj->...ij", along, units)
+                + _dots(across, w)[..., None, None] * eye)
+    omx = _base_omx(xv)
     sigma, grad = 2.0 * xv / omx, v / omx
-    conformal = np.outer(sigma, grad)
-    return hess / (omx * omx) + conformal + conformal.T - float(sigma @ grad) * eye
+    conformal = sigma[..., :, None] * grad[..., None, :]
+    return (hess / np.asarray(omx * omx)[..., None] + conformal + np.swapaxes(conformal, -1, -2)
+            - _dots(sigma, grad)[..., None, None] * eye)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_j . b (b a vector) or a_j . b_j (b a block) per row, as stacked
+    one-row products: a row's bits do not depend on its block."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.ndarray:
@@ -194,24 +220,28 @@ def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.
             eval_G_rs(ctx.weight, batch.radii, batch.arclengths, batch.one_minus_r2)
             - ctx.gamma_y
         )
-    omx = one_minus_sq_norm(xv)
-    vals = np.empty(len(ctx.measure))
-    if ctx.interior.any():
-        vals[ctx.interior] = (
+    vals = np.empty(batch.radii.shape)
+    interior = ctx.interior
+    if interior.any():
+        vals[..., interior] = (
             eval_G_rs(
                 ctx.weight,
-                batch.radii[ctx.interior],
-                batch.arclengths[ctx.interior],
-                batch.one_minus_r2[ctx.interior],
+                batch.radii[..., interior],
+                batch.arclengths[..., interior],
+                batch.one_minus_r2[..., interior],
             )
-            - ctx.gamma_y[ctx.interior]
+            - ctx.gamma_y[interior]
         )
     # |x + y|^2 equals the Mobius denominator when |y| = 1
     boundary = ctx.measure.boundary_mask
-    sq = batch.dens[boundary]
+    sq = batch.dens[..., boundary]
     if sq.min() < 1e-300:
         raise BusemannSingularity("kernel diverges: x at the antipode of a sphere atom")
-    vals[boundary] = 0.5 * (np.log(sq) - math.log(omx))
+    # math.log per point, as for a lone point: np.log rounds some differently
+    omx = _base_omx(xv)
+    log_omx = (math.log(omx) if xv.ndim == 1
+               else np.array([[math.log(o)] for o in omx[:, 0].tolist()]))
+    vals[..., boundary] = 0.5 * (np.log(sq) - log_omx)
     return vals
 
 
@@ -222,20 +252,29 @@ def renormalized_energy(ctx: EnergyContext, x: XLike) -> float:
     return float(math.fsum((ctx.measure.weights * vals).tolist()))
 
 
-def energy_and_field(
-    ctx: EnergyContext, x: XLike
-) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
+def energy_and_field(ctx: EnergyContext, x: XLike) -> tuple:
     """Energy, field V and euclidean Hessian from a single Mobius pass (solver
     hot path).  The Hessian comes as a no-argument function that assembles it
     from the same pass when called, so a point whose Hessian is never read (a
-    descent step, a rejected trial) does not pay for it."""
-    xv = _as_interior_coords(ctx, x)
+    descent step, a rejected trial) does not pay for it.
+
+    At a (k, n) block of points: a list of k energies, the (k, n) fields and
+    k Hessian functions, the first call of which assembles the whole block's
+    Hessians.  Row j equals the call at the point x[j], bit for bit."""
+    xv = _as_interior_coords(ctx, x, block=True)
     batch = _batch(ctx.measure, xv)
-    vals = _kernel_terms(ctx, xv, batch)
-    energy = float(math.fsum((ctx.measure.weights * vals).tolist()))
+    energies = _fsum_last(ctx.measure.weights * _kernel_terms(ctx, xv, batch))
     g_vals, units = _radial_terms(ctx, batch)
     v = _field(ctx, g_vals, units)
-    return energy, v, partial(_hessian, ctx, xv, batch, g_vals, units, v)
+    hessian = partial(_hessian, ctx, xv, batch, g_vals, units, v)
+    if xv.ndim == 1:
+        return energies[0], v, hessian
+    stack = cache(hessian)
+    return energies, v, [partial(_row, stack, j) for j in range(len(xv))]
+
+
+def _row(stack: Callable[[], np.ndarray], j: int) -> np.ndarray:
+    return stack()[j]
 
 
 def kernel_K(ctx: EnergyContext, x: XLike, y: BallPoint) -> float:

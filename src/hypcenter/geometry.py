@@ -176,20 +176,21 @@ def _clamp_inside(rows: np.ndarray, boundary: np.ndarray) -> np.ndarray:
 
 
 def _gram_remainder(x: np.ndarray, locations: np.ndarray) -> np.ndarray:
-    # |x|^2 |y|^2 - (x.y)^2 per row via the Lagrange identity
+    # |x|^2 |y|^2 - (x.y)^2 per (base, row) pair via the Lagrange identity
     # sum_{i<j} (y_i x_j - y_j x_i)^2: a sum of squares, so the near-parallel
     # cancellation that plagues the naive form never occurs.
-    n = x.shape[0]
-    out = np.zeros(locations.shape[0])
+    n = x.shape[-1]
+    out = np.zeros(x.shape[:-1] + locations.shape[:1])
     for i in range(n - 1):
         for j in range(i + 1, n):
-            cross = locations[:, i] * x[j] - locations[:, j] * x[i]
+            cross = locations[:, i] * x[..., j, None] - locations[:, j] * x[..., i, None]
             out += cross * cross
     return out
 
 
 class MobiusBatch(NamedTuple):
-    """Images T_x(y_i) of many points with cancellation-free radial data."""
+    """Images T_x(y_i) of many points with cancellation-free radial data; for
+    a block of k bases every field gains a leading axis of length k."""
 
     images: np.ndarray        # (m, n) translated points
     radii: np.ndarray         # (m,)   |T_x(y_i)|, exactly 1.0 for boundary atoms
@@ -207,32 +208,34 @@ def mobius_batch(
 ) -> MobiusBatch:
     """Apply T_x to a block of points with precomputed radial metadata.
 
-    ``sq_norms`` and ``one_minus_sq`` are the rows' radial data from row_prep
-    (or an exact 1 - |y_i|^2 datum).  The one evaluation of T_x; it never
-    reclassifies loci.  Batch-invariant: each step is elementwise or a
-    reduction over one row alone, so a row's fields equal the one-row call's.
-    Hence x.y by stacked per-row dots: a matvec ``locations @ x`` sums in
-    blocks chosen for the whole array, moving some rows' last bit.
+    ``x`` is one base (n,), or a block of k bases (k, n) whose fields come
+    with a leading axis of length k.  ``sq_norms`` and ``one_minus_sq`` are
+    the rows' radial data from row_prep (or an exact 1 - |y_i|^2 datum).  The
+    one evaluation of T_x; it never reclassifies loci.  Batch-invariant: each
+    step is elementwise or a reduction over one (base, row) pair alone, so a
+    pair's fields equal the one-base, one-row call's.  Hence x.y by stacked
+    per-pair dots: a matvec ``locations @ x`` sums in blocks chosen for the
+    whole array, moving some rows' last bit.
     """
-    omx = one_minus_sq_norm(x)
-    d = _row_dots(locations, x)
+    omx = one_minus_sq_norm(x) if x.ndim == 1 else one_minus_sq_norms(x)
+    d = (locations[:, None, :] @ x[..., None, :, None])[..., 0, 0]
     u = 1.0 + d
     # den = 1 + 2 x.y + |x|^2 |y|^2, assembled as (1 + x.y)^2 plus the
     # Cauchy-Schwarz remainder so no cancellation survives near antipodes
     dens = u * u + _gram_remainder(x, locations)
     if dens.min(initial=math.inf) < POLE_EPS:
         raise PoleSingularity("Mobius denominator underflow")
-    images = ((1.0 + 2.0 * d + sq_norms)[:, None] * x[None, :]
-              + omx * locations) / dens[:, None]
-    one_minus_r2 = omx * one_minus_sq / dens
-    one_minus_r2[boundary] = 0.0
+    images = ((1.0 + 2.0 * d + sq_norms)[..., None] * x[..., None, :]
+              + np.multiply.outer(omx, locations)) / dens[..., None]
+    one_minus_r2 = np.multiply.outer(omx, one_minus_sq) / dens
+    one_minus_r2[..., boundary] = 0.0
 
     # sqrt(1 - A) cancels for small radii, where the direct norm is accurate;
     # near the sphere the factorized 1 - A carries the precision instead
     near_origin = one_minus_r2 > 0.5
-    direct = np.sqrt(np.einsum("ij,ij->i", images, images))
+    direct = np.sqrt(np.einsum("...ij,...ij->...i", images, images))
     radii = np.where(near_origin, direct, np.sqrt(np.maximum(1.0 - one_minus_r2, 0.0)))
-    radii[boundary] = 1.0
+    radii[..., boundary] = 1.0
 
     with np.errstate(divide="ignore"):
         arclengths = np.where(
@@ -240,7 +243,7 @@ def mobius_batch(
             np.arctanh(np.minimum(radii, 1.0 - 1e-17)),
             np.log1p(radii) - 0.5 * np.log(np.maximum(one_minus_r2, 5e-324)),
         )
-    arclengths[boundary] = np.inf
+    arclengths[..., boundary] = np.inf
     return MobiusBatch(images, radii, arclengths, one_minus_r2, dens)
 
 

@@ -12,6 +12,14 @@ accepts the trial instead, as in descent.  Each trial point costs
 one energy_and_field pass; an accepted point keeps its field and the means to
 assemble its Hessian from that pass.
 
+These rules are written once, as a coroutine (_solve_steps) that yields each
+point it needs evaluated and each Newton model it needs solved.  A single
+start answers them one at a time.  multistart_probe runs every start in
+lockstep: one round answers all pending Newton models with one stacked
+Cholesky and then all pending points with one energy_and_field pass over the
+block.  Each batched operation is batch-invariant, so every start's result
+equals its single-start solve bit for bit.
+
 Non-convergence is a result state (converged=False), with one exception:
 iterates escaping to the boundary without residual decrease raise
 DivergentIterates, the signature of a measure with no center (signed measures
@@ -27,7 +35,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.stats import qmc
 
 from .errors import DivergentIterates, DomainError
@@ -35,6 +43,7 @@ from .energy import EnergyContext, energy_and_field, energy_context
 from .geometry import (
     BallPoint,
     Locus,
+    _mobius_rows,
     hyp_distance,
     interior_point,
     one_minus_sq_norm,
@@ -103,13 +112,13 @@ class SolveOptions:
     multistart: int = 1
 
     def __post_init__(self) -> None:
-        if self.tol_residual <= 0.0:
-            raise DomainError("tol_residual must be positive")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
-        starts = self.multistart
-        if isinstance(starts, bool) or not isinstance(starts, numbers.Integral) or starts < 1:
-            raise DomainError(f"multistart must be an integer >= 1, not {starts!r}")
+        tol = self.tol_residual
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+            raise DomainError(f"tol_residual must be a finite positive number, not {tol!r}")
+        for name in ("max_iters", "multistart"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+                raise DomainError(f"{name} must be an integer >= 1, not {count!r}")
         try:  # accepts a Strategy or its name
             object.__setattr__(self, "strategy", Strategy(self.strategy))
         except ValueError as exc:
@@ -192,20 +201,39 @@ def _step(x: np.ndarray, direction: np.ndarray, tau: float) -> np.ndarray:
     return translate_coords(x, math.tanh(tau) * direction)
 
 
-def _newton_step(
-    x: np.ndarray, v: np.ndarray, hess: np.ndarray
-) -> tuple[np.ndarray, float] | None:
-    """Trust-region Newton trial point and the model's predicted decrease
-    -(1/2) grad E . delta, or None when the model is unusable."""
-    if not np.isfinite(hess).all():
-        return None
+def _cholesky(hess: np.ndarray) -> np.ndarray | None:
     try:
-        low = np.linalg.cholesky(hess)
+        return np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
         return None
+
+
+def _newton_steps(models: list[tuple]) -> list[tuple[np.ndarray, float] | None]:
+    """_newton_step for each (x, V, H) model, with one Cholesky over the stack
+    of the finite Hessians (per matrix when one of them is not positive
+    definite)."""
+    finite = [i for i, (_, _, hess) in enumerate(models) if np.isfinite(hess).all()]
+    stack = np.array([models[i][2] for i in finite])
+    try:
+        lows = np.linalg.cholesky(stack) if finite else []
+    except np.linalg.LinAlgError:
+        lows = [_cholesky(h) for h in stack]
+    steps = [None] * len(models)
+    for i, low in zip(finite, lows):
+        if low is not None:
+            steps[i] = _newton_step(*models[i][:2], low)
+    return steps
+
+
+def _newton_step(
+    x: np.ndarray, v: np.ndarray, low: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """Trust-region Newton trial point from the Hessian's Cholesky factor and
+    the model's predicted decrease -(1/2) grad E . delta, or None when the
+    trial would leave the ball."""
     omx = one_minus_sq_norm(x)
     grad = v / omx
-    delta = -cho_solve((low, True), grad, check_finite=False)
+    delta = -dpotrs(low, grad, lower=1)[0]
     # keep the trial inside the ball with margin
     trust = 0.5 * omx
     nd = float(np.linalg.norm(delta))
@@ -226,11 +254,30 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
     """
     if opts.multistart >= 2:
         return multistart_probe(ctx, replace(opts, multistart=1), opts.multistart)
+    steps = _solve_steps(ctx, opts, _initial_coords(ctx, opts))
+    answer = None
+    while True:
+        try:
+            kind, request = steps.send(answer)
+        except StopIteration as done:
+            return done.value
+        if kind is _EVALUATE:
+            answer = energy_and_field(ctx, request)
+        else:
+            answer = _newton_steps([request])[0]
 
+
+_EVALUATE, _NEWTON = "evaluate", "newton"
+
+
+def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
+    """The solve from x as a coroutine.  It yields (_EVALUATE, point) and is
+    sent energy_and_field's (E, V, Hessian function) at that point; it yields
+    (_NEWTON, (x, V, H)) and is sent that model's _newton_step.  It returns the
+    SolveResult, or raises DivergentIterates."""
     cls = classify_hypotheses(ctx)
     scale = ctx.residual_scale()
-    x = _initial_coords(ctx, opts)
-    e_x, v, hessian = energy_and_field(ctx, x)
+    e_x, v, hessian = yield _EVALUATE, x
     res = float(np.linalg.norm(v)) / scale
     res0 = res
     best = (x, res, e_x, 0)
@@ -248,10 +295,10 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
         # decrease of |V| instead
         slack = 1e-15 * (1.0 + abs(e_x))
         if opts.strategy is Strategy.NEWTON_ACCELERATED:
-            step = _newton_step(x, v, hessian())
+            step = yield _NEWTON, (x, v, hessian())
             if step is not None:
                 trial, predicted = step
-                e_t, v_t, h_t = energy_and_field(ctx, trial)
+                e_t, v_t, h_t = yield _EVALUATE, trial
                 if e_t < e_x or (
                     predicted <= slack and float(np.linalg.norm(v_t)) < vnorm
                 ):
@@ -267,7 +314,7 @@ def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> Sol
             tau = tau0
             while tau > 1e-15:
                 x_t = _step(x, direction, tau)
-                e_t, v_t, h_t = energy_and_field(ctx, x_t)
+                e_t, v_t, h_t = yield _EVALUATE, x_t
                 armijo = e_t <= e_x - ARMIJO_DECREASE * tau * vnorm
                 if armijo or (
                     e_t <= e_x + slack and float(np.linalg.norm(v_t)) < vnorm
@@ -344,37 +391,35 @@ def multistart_probe(
 ) -> SolveResult:
     """Solve from many starts and cluster the converged endpoints.
 
-    Endpoints within hyperbolic distance 1e-6 merge into one cluster; a single
-    cluster reports MULTISTART_AGREE, several report AMBIGUOUS with sorted
-    representatives.
+    The starts are solved in lockstep (_lockstep); each start's result
+    equals solve_center from that start.  Endpoints within hyperbolic distance
+    1e-6 of a cluster's first endpoint join it; a single cluster reports
+    MULTISTART_AGREE, several report AMBIGUOUS with sorted representatives.
     """
     if starts < 2:
         raise DomainError("multistart needs at least 2 starts")
-    single = replace(opts, multistart=1)
-    runs: list[SolveResult] = []
-    diverged = 0
-    for x0 in _multistart_points(ctx, starts, seed):
-        try:
-            runs.append(solve_center(ctx, replace(single, initial=x0)))
-        except DivergentIterates:
-            diverged += 1
+    outcomes = _lockstep(ctx, replace(opts, multistart=1), _multistart_points(ctx, starts, seed))
+    runs = [r for r in outcomes if r is not None]
     converged = [r for r in runs if r.converged]
     if not converged:
-        if diverged and not runs:
+        if not runs:
             raise DivergentIterates("every start diverged to the boundary")
         fallback = min(runs, key=lambda r: r.residual)
         return replace(fallback, uniqueness=Uniqueness(UniquenessKind.UNKNOWN))
 
-    # sorted clustering: order-independent representatives
+    # sorted clustering: order-independent representatives; each cluster
+    # takes its members from the endpoints left in one kernel pass
     endpoints = sorted(converged, key=lambda r: tuple(r.x_c.coords))
     clusters: list[list[SolveResult]] = []
-    for run in endpoints:
-        for cluster in clusters:
-            if hyp_distance(cluster[0].x_c, run.x_c) <= CLUSTER_TOL:
-                cluster.append(run)
-                break
-        else:
-            clusters.append([run])
+    while endpoints:
+        head, rest = endpoints[0], endpoints[1:]
+        rows = np.array([r.x_c.coords for r in rest]).reshape(len(rest), ctx.dimension)
+        near = (
+            _mobius_rows(-head.x_c.coords, rows, np.zeros(len(rest), dtype=bool)).arclengths
+            <= CLUSTER_TOL
+        )
+        clusters.append([head, *(r for r, k in zip(rest, near) if k)])
+        endpoints = [r for r, k in zip(rest, near) if not k]
     reps = tuple(
         min(cl, key=lambda r: r.energy_at_min).x_c for cl in clusters
     )
@@ -385,6 +430,43 @@ def multistart_probe(
         else UniquenessKind.AMBIGUOUS
     )
     return replace(best, uniqueness=Uniqueness(kind, reps))
+
+
+def _lockstep(
+    ctx: EnergyContext, opts: SolveOptions, starts: list[np.ndarray]
+) -> list[SolveResult | None]:
+    """Run _solve_steps from every start in rounds.  A round answers all
+    pending Newton models with one _newton_steps call, then all pending points
+    with one energy_and_field pass over their block.  Returns each start's
+    result, None where it diverged; any other exception leaves the probe."""
+    solves = [_solve_steps(ctx, opts, x0) for x0 in starts]
+    results: list[SolveResult | None] = [None] * len(solves)
+    pending: dict[int, tuple] = {}
+
+    def advance(i: int, answer) -> None:
+        try:
+            pending[i] = solves[i].send(answer)
+        except StopIteration as done:
+            results[i] = done.value
+            pending.pop(i, None)
+        except DivergentIterates:
+            pending.pop(i, None)
+
+    for i in range(len(solves)):
+        advance(i, None)
+    while pending:
+        for kind in (_NEWTON, _EVALUATE):
+            ids = [i for i, (k, _) in pending.items() if k is kind]
+            if not ids:
+                continue
+            requests = [pending[i][1] for i in ids]
+            if kind is _NEWTON:
+                answers = _newton_steps(requests)
+            else:
+                answers = zip(*energy_and_field(ctx, np.array(requests)))
+            for i, answer in zip(ids, answers):
+                advance(i, answer)
+    return results
 
 
 def measure_delta(base: AtomicMeasure, other: AtomicMeasure) -> float:

@@ -173,6 +173,19 @@ class TestCenter:
         assert "multistart" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, options, name",
+        [(["--tol", "nan"], {}, "tol_residual"), (["--tol", "inf"], {}, "tol_residual"),
+         ([], {"tol_residual": True}, "tol_residual"), ([], {"max_iters": 2.5}, "max_iters"),
+         ([], {"max_iters": True}, "max_iters"), ([], {"max_iters": "3"}, "max_iters")],
+    )
+    def test_bad_solve_option_is_usage_error(self, tmp_path, capsys, flags, options, name):
+        job = write_job(tmp_path, dict(SPHERE3, options=options))
+        out = tmp_path / "report.json"
+        assert run(["center", "--input", job, "--output", str(out), *flags]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_newton_strategy_flag(self, tmp_path):
         job = write_job(tmp_path, SPHERE3)
         out = str(tmp_path / "report.json")

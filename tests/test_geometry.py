@@ -454,6 +454,24 @@ class TestBatchInvariance:
                     _bits(getattr(block, field)[i]), _bits(getattr(one, field)[0]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_block_of_bases_matches_one_base_calls(self, n):
+        # a block of bases, one per radius and a spread of others, against
+        # every row at once: base j's fields equal the one-base call on it
+        rng = np.random.default_rng(20 + n)
+        locations, boundary = invariance_block(n, rng=rng)
+        u = rng.normal(size=(21, n))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        radii = np.concatenate([INVARIANCE_RADII, rng.uniform(0.0, 0.99, 17)])
+        bases = radii[:, None] * u
+        rows = geo.row_prep(locations, boundary)
+        block = geo.mobius_batch(bases, locations, *rows, boundary)
+        for j, x in enumerate(bases):
+            one = geo.mobius_batch(x, locations, *rows, boundary)
+            for field in geo.MobiusBatch._fields:
+                np.testing.assert_array_equal(
+                    _bits(getattr(block, field)[j]), _bits(getattr(one, field)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", INVARIANCE_RADII)
     def test_array_maps_match_single_points(self, n, r):
         rng = np.random.default_rng(10 + n)

@@ -1,12 +1,14 @@
 import json
 import math
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypcenter import energy as en
+from hypcenter import fixtures as fx
 from hypcenter import geometry as geo
 from hypcenter import measures as ms
 from hypcenter import solver as sv
@@ -486,3 +488,115 @@ class TestSolveGolden:
         assert newton.trace == descent.trace
         assert newton.x_c.coords.tobytes() == descent.x_c.coords.tobytes()
         assert sv.solve_center(ctx, NEWTON).converged
+
+
+def lockstep_contexts():
+    """Contexts for the lockstep tests: sphere, interior, quadrature-built
+    (log_damped) and table weights, and a signed measure where some starts
+    diverge."""
+    table = wt.table(
+        [0.0, 0.25, 0.5, 0.75, 1.0],
+        [0.0, 0.2, 0.45, 0.7, 1.0],
+        monotonicity=wt.Monotonicity.STRICTLY_INCREASING,
+        divergent_G=True,
+    )
+    return {
+        "sphere_3d": en.energy_context(
+            wt.identity(), sphere_measure(3, 25, np.random.default_rng(6))),
+        "interior_3d": en.energy_context(wt.identity(), interior_measure(3, 9, 0)),
+        "log_damped_2d": en.energy_context(wt.log_damped(), quadrature_measure(0, 4)),
+        "table_2d": en.energy_context(table, quadrature_measure(1, 9)),
+        "signed_circle": fx.signed_circle_context(),
+    }
+
+
+def solve_or_none(ctx, opts):
+    try:
+        return sv.solve_center(ctx, opts)
+    except DivergentIterates:
+        return None
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("strategy", ["descent", "newton"])
+    @pytest.mark.parametrize("name", sorted(lockstep_contexts()))
+    def test_each_start_matches_its_single_solve(self, name, strategy):
+        # most signed_circle starts stall until max_iters, with long backtracks
+        ctx = lockstep_contexts()[name]
+        opts = sv.SolveOptions(strategy=strategy, max_iters=40)
+        starts = sv._multistart_points(ctx, 12)
+        outcomes = sv._lockstep(ctx, opts, starts)
+        singles = [solve_or_none(ctx, replace(opts, initial=x0)) for x0 in starts]
+        if name == "signed_circle":
+            assert 0 < singles.count(None) < len(singles)
+        for got, want in zip(outcomes, singles):
+            if want is None:
+                assert got is None
+                continue
+            assert solve_record(got) == solve_record(want)
+            assert (got.residual, got.energy_at_min) == (want.residual, want.energy_at_min)
+
+    def test_every_start_diverging_raises(self):
+        ctx = fx.signed_no_zero_context()
+        assert sv._lockstep(ctx, sv.SolveOptions(), sv._multistart_points(ctx, 4)) == [
+            None] * 5
+        with pytest.raises(DivergentIterates):
+            sv.multistart_probe(ctx, sv.SolveOptions(), starts=4)
+
+    def test_starts_share_kernel_passes(self, monkeypatch):
+        # one pass per round over every live start, not one per start's point
+        ctx = lockstep_contexts()["sphere_3d"]
+        opts = sv.SolveOptions(strategy="newton")
+        calls = []
+        original = en.mobius_batch
+
+        def counting(x, *rows):
+            calls.append(np.shape(x))
+            return original(x, *rows)
+
+        monkeypatch.setattr(en, "mobius_batch", counting)
+        for x0 in sv._multistart_points(ctx, 8):
+            sv.solve_center(ctx, replace(opts, initial=x0))
+        evaluations = len(calls)
+        calls.clear()
+        assert sv.multistart_probe(ctx, opts, starts=8).converged
+        assert len(calls) < evaluations / 4
+        assert max(shape[0] for shape in calls) == 9
+
+    def test_clustering_matches_pairwise_distances(self):
+        # one kernel pass per cluster head: the clusters are the ones a
+        # pairwise hyp_distance scan against each head finds
+        ctx = en.energy_context(
+            wt.min_r_arctanh_inv(),
+            ms.atomic_measure([([TANH(2.0)], 1.0), ([-TANH(2.0)], 1.0)]),
+        )
+        result = sv.multistart_probe(ctx, sv.SolveOptions(), starts=12)
+        runs = [r for r in sv._lockstep(
+            ctx, sv.SolveOptions(), sv._multistart_points(ctx, 12)) if r.converged]
+        heads = []
+        for run in sorted(runs, key=lambda r: tuple(r.x_c.coords)):
+            if not any(geo.hyp_distance(h[0].x_c, run.x_c) <= sv.CLUSTER_TOL for h in heads):
+                heads.append([run])
+            else:
+                next(h for h in heads
+                     if geo.hyp_distance(h[0].x_c, run.x_c) <= sv.CLUSTER_TOL).append(run)
+        reps = [min(h, key=lambda r: r.energy_at_min).x_c.coords.tolist() for h in heads]
+        assert [r.coords.tolist() for r in result.uniqueness.representatives] == reps
+        assert len(reps) >= 2
+
+
+class TestSolveOptionsValidation:
+    @pytest.mark.parametrize(
+        "options",
+        [{"max_iters": True}, {"max_iters": 2.5}, {"max_iters": math.nan},
+         {"max_iters": "3"}, {"max_iters": 0}, {"tol_residual": True},
+         {"tol_residual": math.inf}, {"tol_residual": math.nan},
+         {"tol_residual": "1e-10"}, {"tol_residual": 0.0}],
+    )
+    def test_rejected(self, options):
+        with pytest.raises(DomainError, match=next(iter(options))):
+            sv.SolveOptions(**options)
+
+    def test_accepted(self):
+        opts = sv.SolveOptions(max_iters=np.int64(3), tol_residual=np.float64(1e-9))
+        assert (opts.max_iters, opts.tol_residual) == (3, 1e-9)
