@@ -119,7 +119,7 @@ def _as_interior_coords(ctx: EnergyContext, x: XLike, block: bool = False) -> np
         raise DimensionMismatch(
             f"evaluation point has shape {v.shape}, measure dimension {ctx.dimension}"
         )
-    if not all(map(_in_open_ball, v.reshape(-1, ctx.dimension))):
+    if not (_in_open_ball(v) if v.ndim == 1 else all(map(_in_open_ball, v))):
         raise DomainError("evaluation point must lie in the open ball")
     return v
 
@@ -156,11 +156,11 @@ def _radial_terms(ctx: EnergyContext, batch: MobiusBatch) -> tuple[np.ndarray, n
     if not ctx.any_boundary:
         g_vals = eval_g_rs(ctx.weight, batch.radii, batch.arclengths)
     else:
-        g_vals = np.empty(batch.radii.shape)
-        g_vals[..., ctx.interior] = eval_g_rs(
-            ctx.weight, batch.radii[..., ctx.interior], batch.arclengths[..., ctx.interior]
-        )
-        g_vals[..., ctx.measure.boundary_mask] = ctx.weight.g1
+        g_vals = np.full(batch.radii.shape, ctx.weight.g1)
+        if ctx.interior.any():
+            g_vals.T[ctx.interior] = eval_g_rs(
+                ctx.weight, batch.radii[..., ctx.interior], batch.arclengths[..., ctx.interior]
+            ).T
     norms = np.sqrt(np.einsum("...ij,...ij->...i", batch.images, batch.images))[..., None]
     with np.errstate(invalid="ignore", divide="ignore"):
         units = np.where(norms > 0.0, batch.images / norms, 0.0)
@@ -194,7 +194,7 @@ def _hessian(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         radial = eval_dg_rs(ctx.weight, r, batch.arclengths, batch.one_minus_r2)
         across = np.where(r > 0.0, g_vals * (1.0 + r * r) / r, radial)
-        radial[..., ctx.measure.boundary_mask] = 0.0
+        radial.T[ctx.measure.boundary_mask] = 0.0
         w = ctx.measure.weights
         along = units * (w * (radial - across))[..., None]
         eye = np.eye(xv.shape[-1])
@@ -220,10 +220,12 @@ def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.
             eval_G_rs(ctx.weight, batch.radii, batch.arclengths, batch.one_minus_r2)
             - ctx.gamma_y
         )
+    # masked writes go through .T, which puts the atoms first for a point or
+    # a block; reads stay contiguous, as the profile functions take them
     vals = np.empty(batch.radii.shape)
     interior = ctx.interior
     if interior.any():
-        vals[..., interior] = (
+        vals.T[interior] = (
             eval_G_rs(
                 ctx.weight,
                 batch.radii[..., interior],
@@ -231,7 +233,7 @@ def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.
                 batch.one_minus_r2[..., interior],
             )
             - ctx.gamma_y[interior]
-        )
+        ).T
     # |x + y|^2 equals the Mobius denominator when |y| = 1
     boundary = ctx.measure.boundary_mask
     sq = batch.dens[..., boundary]
@@ -241,7 +243,7 @@ def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.
     omx = _base_omx(xv)
     log_omx = (math.log(omx) if xv.ndim == 1
                else np.array([[math.log(o)] for o in omx[:, 0].tolist()]))
-    vals[..., boundary] = 0.5 * (np.log(sq) - log_omx)
+    vals.T[boundary] = (0.5 * (np.log(sq) - log_omx)).T
     return vals
 
 

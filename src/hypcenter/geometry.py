@@ -175,16 +175,17 @@ def _clamp_inside(rows: np.ndarray, boundary: np.ndarray) -> np.ndarray:
     return nr
 
 
-def _gram_remainder(x: np.ndarray, locations: np.ndarray) -> np.ndarray:
+def _gram_remainder(cols, locations: np.ndarray):
     # |x|^2 |y|^2 - (x.y)^2 per (base, row) pair via the Lagrange identity
     # sum_{i<j} (y_i x_j - y_j x_i)^2: a sum of squares, so the near-parallel
-    # cancellation that plagues the naive form never occurs.
-    n = x.shape[-1]
-    out = np.zeros(x.shape[:-1] + locations.shape[:1])
+    # cancellation that plagues the naive form never occurs.  cols[j] is x_j,
+    # a scalar for one base or a (k, 1) column for a block.
+    n = locations.shape[1]
+    out = 0.0
     for i in range(n - 1):
         for j in range(i + 1, n):
-            cross = locations[:, i] * x[..., j, None] - locations[:, j] * x[..., i, None]
-            out += cross * cross
+            cross = locations[:, i] * cols[j] - locations[:, j] * cols[i]
+            out = out + cross * cross
     return out
 
 
@@ -217,25 +218,32 @@ def mobius_batch(
     per-pair dots: a matvec ``locations @ x`` sums in blocks chosen for the
     whole array, moving some rows' last bit.
     """
-    omx = one_minus_sq_norm(x) if x.ndim == 1 else one_minus_sq_norms(x)
+    if x.ndim == 1:  # one base: its values stay scalars
+        omx = omx_rows = one_minus_sq_norm(x)
+        cols = x
+    else:  # columns of per-base values, (k, 1), against the rows
+        omx = one_minus_sq_norms(x)[:, None]
+        omx_rows = omx[..., None]
+        cols = x.T[..., None]
     d = (locations[:, None, :] @ x[..., None, :, None])[..., 0, 0]
     u = 1.0 + d
     # den = 1 + 2 x.y + |x|^2 |y|^2, assembled as (1 + x.y)^2 plus the
     # Cauchy-Schwarz remainder so no cancellation survives near antipodes
-    dens = u * u + _gram_remainder(x, locations)
+    dens = u * u + _gram_remainder(cols, locations)
     if dens.min(initial=math.inf) < POLE_EPS:
         raise PoleSingularity("Mobius denominator underflow")
     images = ((1.0 + 2.0 * d + sq_norms)[..., None] * x[..., None, :]
-              + np.multiply.outer(omx, locations)) / dens[..., None]
-    one_minus_r2 = np.multiply.outer(omx, one_minus_sq) / dens
-    one_minus_r2[..., boundary] = 0.0
+              + omx_rows * locations) / dens[..., None]
+    one_minus_r2 = omx * one_minus_sq / dens
+    # .T puts the rows first for one base or a block: a[..., mask] is slower
+    one_minus_r2.T[boundary] = 0.0
 
     # sqrt(1 - A) cancels for small radii, where the direct norm is accurate;
     # near the sphere the factorized 1 - A carries the precision instead
     near_origin = one_minus_r2 > 0.5
     direct = np.sqrt(np.einsum("...ij,...ij->...i", images, images))
     radii = np.where(near_origin, direct, np.sqrt(np.maximum(1.0 - one_minus_r2, 0.0)))
-    radii[..., boundary] = 1.0
+    radii.T[boundary] = 1.0
 
     with np.errstate(divide="ignore"):
         arclengths = np.where(
@@ -243,7 +251,7 @@ def mobius_batch(
             np.arctanh(np.minimum(radii, 1.0 - 1e-17)),
             np.log1p(radii) - 0.5 * np.log(np.maximum(one_minus_r2, 5e-324)),
         )
-    arclengths[..., boundary] = np.inf
+    arclengths.T[boundary] = np.inf
     return MobiusBatch(images, radii, arclengths, one_minus_r2, dens)
 
 
