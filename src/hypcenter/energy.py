@@ -37,6 +37,7 @@ from .geometry import (
     MobiusBatch,
     _in_open_ball,
     _mobius_rows,
+    _row_dots,
     mobius_batch,
     one_minus_sq_norm,
     one_minus_sq_norms,
@@ -199,18 +200,12 @@ def _hessian(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch,
         along = units * (w * (radial - across))[..., None]
         eye = np.eye(xv.shape[-1])
         hess = (np.einsum("...ki,...kj->...ij", along, units)
-                + _dots(across, w)[..., None, None] * eye)
+                + _row_dots(across, w)[..., None, None] * eye)
     omx = _base_omx(xv)
     sigma, grad = 2.0 * xv / omx, v / omx
     conformal = sigma[..., :, None] * grad[..., None, :]
     return (hess / np.asarray(omx * omx)[..., None] + conformal + np.swapaxes(conformal, -1, -2)
-            - _dots(sigma, grad)[..., None, None] * eye)
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_j . b (b a vector) or a_j . b_j (b a block) per row, as stacked
-    one-row products: a row's bits do not depend on its block."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+            - _row_dots(sigma, grad)[..., None, None] * eye)
 
 
 def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.ndarray:

@@ -71,8 +71,8 @@ def one_minus_sq_norm(v: np.ndarray) -> float:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row dot products a_i . b (b one vector) or a_i . b_i (b a block),
     as stacked one-row products: each row gets the bits of np.dot on that row
-    alone, whatever block it sits in."""
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+    alone, whatever block it sits in.  A vector a is the one-row case."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def row_prep(locations: np.ndarray, boundary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
