@@ -26,7 +26,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
-    BusemannSingularity,
     DimensionMismatch,
     DomainError,
     NotBoundaryCompatible,
@@ -40,7 +39,6 @@ from .geometry import (
     _row_dots,
     mobius_batch,
     one_minus_sq_norm,
-    one_minus_sq_norms,
     point,
 )
 from .measures import AtomicMeasure, Support, ValidationReport, validate
@@ -64,7 +62,7 @@ class EnergyContext:
     validation: ValidationReport
     interior: np.ndarray
     any_boundary: bool
-    gamma_y: np.ndarray  # G(|y_i|) for interior atoms, 0.0 on sphere rows
+    gamma_y: np.ndarray  # K's term at x = 0: G(|y_i|), or (1/2) log |y_i|^2 on the sphere
 
     @property
     def dimension(self) -> int:
@@ -90,10 +88,11 @@ def energy_context(weight: RadialWeight, measure: AtomicMeasure) -> EnergyContex
     if report.support is not Support.COMPACT_INTERIOR:
         weight = normalized_for_boundary(weight)
     boundary = measure.boundary_mask
-    # G at the atom radii through the same batch path used at evaluation time,
-    # so the interior kernel vanishes identically at x = 0
+    # each atom's term at x = 0 through the same batch path used at evaluation
+    # time, so that the kernel, its term less this, vanishes identically there
     batch = _batch(measure, np.zeros(measure.dimension))
     gamma_y = np.zeros(len(measure))
+    gamma_y[boundary] = 0.5 * np.log(batch.dens[boundary])
     interior = ~boundary
     if np.any(interior):
         gamma_y[interior] = eval_G_rs(
@@ -126,7 +125,7 @@ def _as_interior_coords(ctx: EnergyContext, x: XLike, block: bool = False) -> np
 
 
 def _batch(mu: AtomicMeasure, x: np.ndarray) -> MobiusBatch:
-    return mobius_batch(x, mu.locations, *mu.radial_rows, mu.boundary_mask)
+    return mobius_batch(x, mu.locations, mu.one_minus_sq_values, mu.boundary_mask)
 
 
 def _fsum_last(terms: np.ndarray) -> list[float]:
@@ -138,13 +137,6 @@ def _fsum_vector(contrib: np.ndarray) -> np.ndarray:
     """Exact column sums of the (..., m, n) per-atom vectors: (..., n)."""
     cols = np.swapaxes(contrib, -1, -2)
     return np.array(_fsum_last(cols)).reshape(cols.shape[:-1])
-
-
-def _base_omx(xv: np.ndarray) -> np.ndarray | float:
-    """1 - |x|^2 of a point, or a (k, 1) column of it over a block."""
-    if xv.ndim == 1:
-        return one_minus_sq_norm(xv)
-    return one_minus_sq_norms(xv)[:, None]
 
 
 def _radial_terms(ctx: EnergyContext, batch: MobiusBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -201,15 +193,16 @@ def _hessian(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch,
         eye = np.eye(xv.shape[-1])
         hess = (np.einsum("...ki,...kj->...ij", along, units)
                 + _row_dots(across, w)[..., None, None] * eye)
-    omx = _base_omx(xv)
+    omx = batch.omx
     sigma, grad = 2.0 * xv / omx, v / omx
     conformal = sigma[..., :, None] * grad[..., None, :]
     return (hess / np.asarray(omx * omx)[..., None] + conformal + np.swapaxes(conformal, -1, -2)
             - _row_dots(sigma, grad)[..., None, None] * eye)
 
 
-def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.ndarray:
-    """Per-atom kernel values K(x, y_i) sharing one Mobius batch."""
+def _kernel_terms(ctx: EnergyContext, batch: MobiusBatch) -> np.ndarray:
+    """Per-atom kernel values K(x, y_i) sharing one Mobius batch: each atom's
+    term at x less its term at the origin, gamma_y."""
     if not ctx.any_boundary:
         return (
             eval_G_rs(ctx.weight, batch.radii, batch.arclengths, batch.one_minus_r2)
@@ -220,32 +213,27 @@ def _kernel_terms(ctx: EnergyContext, xv: np.ndarray, batch: MobiusBatch) -> np.
     vals = np.empty(batch.radii.shape)
     interior = ctx.interior
     if interior.any():
-        vals.T[interior] = (
-            eval_G_rs(
-                ctx.weight,
-                batch.radii[..., interior],
-                batch.arclengths[..., interior],
-                batch.one_minus_r2[..., interior],
-            )
-            - ctx.gamma_y[interior]
+        vals.T[interior] = eval_G_rs(
+            ctx.weight,
+            batch.radii[..., interior],
+            batch.arclengths[..., interior],
+            batch.one_minus_r2[..., interior],
         ).T
-    # |x + y|^2 equals the Mobius denominator when |y| = 1
-    boundary = ctx.measure.boundary_mask
-    sq = batch.dens[..., boundary]
-    if sq.min() < 1e-300:
-        raise BusemannSingularity("kernel diverges: x at the antipode of a sphere atom")
-    # math.log per point, as for a lone point: np.log rounds some differently
-    omx = _base_omx(xv)
-    log_omx = (math.log(omx) if xv.ndim == 1
+    # the Busemann term (1/2) log(|x + y|^2 / (1 - |x|^2)): |x + y|^2 is the
+    # Mobius denominator when |y| = 1; math.log per point, as for a lone
+    # point: np.log rounds some differently
+    omx = batch.omx
+    log_omx = (math.log(omx) if batch.radii.ndim == 1
                else np.array([[math.log(o)] for o in omx[:, 0].tolist()]))
-    vals.T[boundary] = (0.5 * (np.log(sq) - log_omx)).T
-    return vals
+    boundary = ctx.measure.boundary_mask
+    vals.T[boundary] = (0.5 * (np.log(batch.dens[..., boundary]) - log_omx)).T
+    return vals - ctx.gamma_y
 
 
 def renormalized_energy(ctx: EnergyContext, x: XLike) -> float:
     """The renormalized energy; finite for sphere atoms and zero at x = 0."""
     xv = _as_interior_coords(ctx, x)
-    vals = _kernel_terms(ctx, xv, _batch(ctx.measure, xv))
+    vals = _kernel_terms(ctx, _batch(ctx.measure, xv))
     return float(math.fsum((ctx.measure.weights * vals).tolist()))
 
 
@@ -260,7 +248,7 @@ def energy_and_field(ctx: EnergyContext, x: XLike) -> tuple:
     Hessians.  Row j equals the call at the point x[j], bit for bit."""
     xv = _as_interior_coords(ctx, x, block=True)
     batch = _batch(ctx.measure, xv)
-    energies = _fsum_last(ctx.measure.weights * _kernel_terms(ctx, xv, batch))
+    energies = _fsum_last(ctx.measure.weights * _kernel_terms(ctx, batch))
     g_vals, units = _radial_terms(ctx, batch)
     v = _field(ctx, g_vals, units)
     hessian = partial(_hessian, ctx, xv, batch, g_vals, units, v)
@@ -287,12 +275,10 @@ def kernel_K(ctx: EnergyContext, x: XLike, y: BallPoint) -> float:
     if yp.is_boundary:
         if ctx.weight.g1 is None or ctx.weight.g1 <= 0.0:
             raise NotBoundaryCompatible("sphere kernel needs a weight with g(1) > 0")
-        omx = one_minus_sq_norm(xv)
+        # the Busemann term less its value at the origin, as in _kernel_terms
         diff = xv + yp.coords
-        sq = float(diff @ diff)
-        if sq < 1e-300:
-            raise BusemannSingularity("kernel diverges at the antipode of y")
-        return 0.5 * (math.log(sq) - math.log(omx))
+        return (0.5 * (math.log(float(diff @ diff)) - math.log(one_minus_sq_norm(xv)))
+                - 0.5 * math.log(float(yp.coords @ yp.coords)))
     row = yp.coords[None]
     g_img, g_y = (
         float(eval_G_rs(ctx.weight, b.radii, b.arclengths, b.one_minus_r2)[0])

@@ -49,10 +49,6 @@ class NonpositiveMass(HypcenterError):
     """Density quantization produced no positive mass."""
 
 
-class BusemannSingularity(HypcenterError):
-    """Boundary kernel evaluated at the antipode of its boundary atom."""
-
-
 class DivergentIterates(HypcenterError):
     """Solver iterates escaped to the boundary without residual decrease."""
 

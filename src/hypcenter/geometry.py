@@ -8,8 +8,14 @@ One batch-invariant kernel, mobius_batch, evaluates T_x: a row's result never
 depends on the block around it, so every single-point function is the one-row
 case of the array maps (mobius_map, fold_map), bit for bit.
 
-Near the unit sphere the naive route ``atanh(|T_x(y)|)`` loses up to seven
-digits to cancellation, so the arclength helpers work from the factorization
+The kernel uses the sum form of the translation (Ratcliffe, Foundations of
+Hyperbolic Manifolds, ch. 4): with s = x + y,
+
+    T_x(y) = (|s|^2 x + (1-|x|^2) s) / den,  den = |s|^2 + (1-|x|^2)(1-|y|^2).
+
+Both terms of den are non-negative, so it never cancels, and s is exact at
+y = -x.  Near the unit sphere the naive route ``atanh(|T_x(y)|)`` loses up to
+seven digits to cancellation, so the arclength helpers work from
 ``1 - |T_x(y)|^2 = (1-|x|^2)(1-|y|^2) / den`` with every factor computed in a
 cancellation-free form.
 """
@@ -73,14 +79,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     as stacked one-row products: each row gets the bits of np.dot on that row
     alone, whatever block it sits in.  A vector a is the one-row case."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def row_prep(locations: np.ndarray, boundary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The per-row radial data mobius_batch takes, (|y_i|^2, 1 - |y_i|^2), with
-    exact zeros for 1 - |y_i|^2 on sphere rows."""
-    omy = one_minus_sq_norms(locations)
-    omy[boundary] = 0.0
-    return _row_dots(locations, locations), omy
 
 
 class Locus(Enum):
@@ -175,89 +173,70 @@ def _clamp_inside(rows: np.ndarray, boundary: np.ndarray) -> np.ndarray:
     return nr
 
 
-def _gram_remainder(cols, locations: np.ndarray):
-    # |x|^2 |y|^2 - (x.y)^2 per (base, row) pair via the Lagrange identity
-    # sum_{i<j} (y_i x_j - y_j x_i)^2: a sum of squares, so the near-parallel
-    # cancellation that plagues the naive form never occurs.  cols[j] is x_j,
-    # a scalar for one base or a (k, 1) column for a block.
-    n = locations.shape[1]
-    out = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            cross = locations[:, i] * cols[j] - locations[:, j] * cols[i]
-            out = out + cross * cross
-    return out
-
-
 class MobiusBatch(NamedTuple):
     """Images T_x(y_i) of many points with cancellation-free radial data; for
-    a block of k bases every field gains a leading axis of length k."""
+    a block of k bases every per-row field gains a leading axis of length k."""
 
     images: np.ndarray        # (m, n) translated points
     radii: np.ndarray         # (m,)   |T_x(y_i)|, exactly 1.0 for boundary atoms
     arclengths: np.ndarray    # (m,)   arctanh |T_x(y_i)|, +inf for boundary atoms
     one_minus_r2: np.ndarray  # (m,)   1 - |T_x(y_i)|^2, 0.0 for boundary atoms
     dens: np.ndarray          # (m,)   Mobius denominators (= |x+y|^2 on the sphere)
+    omx: np.ndarray | float   # 1 - |x|^2: a float, or a (k, 1) column for a block
 
 
 def mobius_batch(
     x: np.ndarray,
     locations: np.ndarray,
-    sq_norms: np.ndarray,
     one_minus_sq: np.ndarray,
     boundary: np.ndarray,
 ) -> MobiusBatch:
-    """Apply T_x to a block of points with precomputed radial metadata.
+    """Apply T_x to a block of points in the sum form of the module docstring.
 
-    ``x`` is one base (n,), or a block of k bases (k, n) whose fields come
-    with a leading axis of length k.  ``sq_norms`` and ``one_minus_sq`` are
-    the rows' radial data from row_prep (or an exact 1 - |y_i|^2 datum).  The
-    one evaluation of T_x; it never reclassifies loci.  Batch-invariant: each
-    step is elementwise or a reduction over one (base, row) pair alone, so a
-    pair's fields equal the one-base, one-row call's.  Hence x.y by stacked
-    per-pair dots: a matvec ``locations @ x`` sums in blocks chosen for the
-    whole array, moving some rows' last bit.
+    ``x`` is one base (n,), or a block of k bases (k, n) whose per-row fields
+    come with a leading axis of length k.  ``one_minus_sq`` is the rows'
+    1 - |y_i|^2, exactly 0.0 on sphere rows, which makes their 1 - r^2
+    exactly 0 and their radius 1.  The one evaluation of T_x; it never
+    reclassifies loci.  Batch-invariant: each step is elementwise or a
+    reduction over one (base, row) pair alone, so a pair's fields equal the
+    one-base, one-row call's.  Hence |s|^2 by stacked per-pair dots: a
+    reduction over the whole array sums in blocks chosen for it, moving some
+    rows' last bit.
     """
-    if x.ndim == 1:  # one base: its values stay scalars
-        omx = omx_rows = one_minus_sq_norm(x)
-        cols = x
-    else:  # columns of per-base values, (k, 1), against the rows
+    if x.ndim == 1:
+        omx = one_minus_sq_norm(x)
+    else:  # a (k, 1) column of per-base values against the rows
         omx = one_minus_sq_norms(x)[:, None]
-        omx_rows = omx[..., None]
-        cols = x.T[..., None]
-    d = (locations[:, None, :] @ x[..., None, :, None])[..., 0, 0]
-    u = 1.0 + d
-    # den = 1 + 2 x.y + |x|^2 |y|^2, assembled as (1 + x.y)^2 plus the
-    # Cauchy-Schwarz remainder so no cancellation survives near antipodes
-    dens = u * u + _gram_remainder(cols, locations)
+    s = locations + x[..., None, :]
+    ss = _row_dots(s, s)
+    omxy = omx * one_minus_sq  # (1 - |x|^2)(1 - |y|^2)
+    dens = ss + omxy
     if dens.min(initial=math.inf) < POLE_EPS:
         raise PoleSingularity("Mobius denominator underflow")
-    images = ((1.0 + 2.0 * d + sq_norms)[..., None] * x[..., None, :]
-              + omx_rows * locations) / dens[..., None]
-    one_minus_r2 = omx * one_minus_sq / dens
-    # .T puts the rows first for one base or a block: a[..., mask] is slower
-    one_minus_r2.T[boundary] = 0.0
+    images = (ss[..., None] * x[..., None, :] + np.expand_dims(omx, -1) * s) / dens[..., None]
+    one_minus_r2 = omxy / dens
 
     # sqrt(1 - A) cancels for small radii, where the direct norm is accurate;
     # near the sphere the factorized 1 - A carries the precision instead
     near_origin = one_minus_r2 > 0.5
     direct = np.sqrt(np.einsum("...ij,...ij->...i", images, images))
     radii = np.where(near_origin, direct, np.sqrt(np.maximum(1.0 - one_minus_r2, 0.0)))
-    radii.T[boundary] = 1.0
 
     with np.errstate(divide="ignore"):
         arclengths = np.where(
             near_origin,
-            np.arctanh(np.minimum(radii, 1.0 - 1e-17)),
+            np.arctanh(radii),
             np.log1p(radii) - 0.5 * np.log(np.maximum(one_minus_r2, 5e-324)),
         )
+    # .T puts the rows first for one base or a block: a[..., mask] is slower
     arclengths.T[boundary] = np.inf
-    return MobiusBatch(images, radii, arclengths, one_minus_r2, dens)
+    return MobiusBatch(images, radii, arclengths, one_minus_r2, dens, omx)
 
 
 def _mobius_rows(x: np.ndarray, locations: np.ndarray, boundary: np.ndarray) -> MobiusBatch:
-    """mobius_batch on raw rows, with their radial data from row_prep."""
-    return mobius_batch(x, locations, *row_prep(locations, boundary), boundary)
+    """mobius_batch on raw rows, with 1 - |y_i|^2 built from their coordinates."""
+    return mobius_batch(
+        x, locations, np.where(boundary, 0.0, one_minus_sq_norms(locations)), boundary)
 
 
 def _images(x: np.ndarray, locations: np.ndarray, boundary: np.ndarray) -> np.ndarray:
@@ -298,7 +277,7 @@ def mobius_map(x: PointLike) -> ArrayMap:
     """The array map (locations, boundary) -> (T_x images, boundary).
 
     One mobius_batch pass; sphere images are renormalized and interior images
-    clamped inside the sphere.  Every step is per row (row_prep, the kernel,
+    clamped inside the sphere.  Every step is per row (1 - |y|^2, the kernel,
     the norms), so a row's image does not depend on the block: mobius(x, y)
     is this map on the one-row block y.
     """

@@ -33,7 +33,6 @@ from .geometry import (
     ArrayMap,
     mobius_map,
     one_minus_sq_norms,
-    row_prep,
 )
 
 CO_LOCATION_TOL = 1e-12
@@ -92,18 +91,14 @@ class AtomicMeasure:
         return bool(np.any(self.weights < 0.0))
 
     @cached_property
-    def radial_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-atom (|y_i|^2, 1 - |y_i|^2) as geometry.row_prep builds them for
-        the array maps; 1 - |y_i|^2 is the exact datum where carried."""
-        sq, omy = row_prep(self.locations, self.boundary_mask)
-        omy = omy if self.one_minus_sq is None else self.one_minus_sq
-        sq.flags.writeable = omy.flags.writeable = False
-        return sq, omy
-
-    @property
     def one_minus_sq_values(self) -> np.ndarray:
-        """Per-atom 1 - |y_i|^2: the exact datum where carried, else from coords."""
-        return self.radial_rows[1]
+        """Per-atom 1 - |y_i|^2 as the Mobius kernel reads it: the exact datum
+        where carried, else from coords, and 0.0 on sphere atoms."""
+        if self.one_minus_sq is not None:
+            return self.one_minus_sq
+        omy = np.where(self.boundary_mask, 0.0, one_minus_sq_norms(self.locations))
+        omy.flags.writeable = False
+        return omy
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -215,7 +215,8 @@ class TestCenter:
     def test_reports_match_golden(self, tmp_path, command, job, flags, report):
         # re-recorded when x.y in the Mobius kernel became a stacked per-row
         # dot: every energy evaluation moved at the last bit; the newton
-        # report again when the Newton model took the closed-form Hessian
+        # report again when the Newton model took the closed-form Hessian,
+        # and all three when the kernel took the sum form
         out = tmp_path / "report.json"
         assert run([command, "-i", str(GOLDEN / job), "-o", str(out), *flags]) == 0
         assert out.read_bytes() == (GOLDEN / report).read_bytes()

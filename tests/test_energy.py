@@ -194,7 +194,12 @@ class TestRenormalizedEnergy:
             mixed_context(),
             signed_circle(),
         ):
-            assert en.renormalized_energy(ctx, np.zeros(ctx.dimension)) == 0.0
+            origin = np.zeros(ctx.dimension)
+            assert en.renormalized_energy(ctx, origin) == 0.0
+            assert en.energy_and_field(ctx, origin)[0] == 0.0
+            # the origin inside a block of points
+            block = np.stack([origin, np.full(ctx.dimension, 0.1), origin])
+            assert en.energy_and_field(ctx, block)[0][::2] == [0.0, 0.0]
 
     def test_sphere_energy_matches_atomwise_log(self):
         ctx = sphere_triangle()

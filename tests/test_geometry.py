@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,15 @@ class TestDistances:
     def test_distance_zero_iff_equal(self):
         x = [0.2, -0.4]
         assert geo.hyp_distance(x, x) == 0.0
+        # near the sphere T_{-x}(x) is the kernel's antipode case
+        rng = np.random.default_rng(5)
+        for gap in (1e-6, 1e-8, 1e-10, 1e-12):
+            for n in (1, 2, 3, 4):
+                for _ in range(25):
+                    u = rng.normal(size=n)
+                    x = (1.0 - gap) * (u / np.linalg.norm(u))
+                    assert geo.hyp_distance(x, x) == 0.0
+                    assert geo.hyp_distance(x, np.nextafter(x, 0.0)) > 0.0
 
     def test_one_dim_distance(self):
         d = geo.hyp_distance([TANH(0.3)], [TANH(1.7)])
@@ -190,6 +200,37 @@ class TestDistances:
             d0 = geo.hyp_distance(x, y)
             d1 = geo.hyp_distance(geo.mobius(z, x), geo.mobius(z, y))
             assert abs(d0 - d1) < 1e-10
+
+
+def _exact_mobius(x, y):
+    """T_x(y) and 1 - |T_x(y)|^2 in exact rationals of the float inputs."""
+    x, y = [Fraction(a) for a in x], [Fraction(b) for b in y]
+    xy = sum(a * b for a, b in zip(x, y))
+    xx, yy = sum(a * a for a in x), sum(b * b for b in y)
+    den = 1 + 2 * xy + xx * yy
+    image = [((1 + 2 * xy + yy) * a + (1 - xx) * b) / den for a, b in zip(x, y)]
+    return image, (1 - xx) * (1 - yy) / den
+
+
+def test_mobius_batch_exact_at_the_antipode():
+    # y near -x with both within 1e-12 to 1e-4 of the sphere: x + y cancels
+    # in every form of the denominator but the sum form, where it is exact
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        u, v = rng.normal(size=(2, n))
+        u /= np.linalg.norm(u)
+        w = u + 10.0 ** rng.uniform(-10, -2) * v
+        w /= np.linalg.norm(w)
+        gap_x, gap_y = 10.0 ** rng.uniform(-12, -4, size=2)
+        x, y = (1.0 - gap_x) * u, -(1.0 - gap_y) * w
+        rows = y[None]
+        batch = geo.mobius_batch(x, rows, geo.one_minus_sq_norms(rows), np.zeros(1, dtype=bool))
+        image, one_minus_r2 = _exact_mobius(x, y)
+        err = math.hypot(*(float(Fraction(a) - b) for a, b in zip(batch.images[0].tolist(), image)))
+        assert err <= 1e-15 * math.hypot(*map(float, image))
+        got = Fraction(float(batch.one_minus_r2[0]))
+        assert abs(float((got - one_minus_r2) / one_minus_r2)) <= 1e-15
 
 
 class TestInverseExp:
@@ -435,6 +476,15 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def one_minus_sq_rows(locations, boundary):
+    """The 1 - |y|^2 datum mobius_batch takes: exact zeros on sphere rows."""
+    return np.where(boundary, 0.0, geo.one_minus_sq_norms(locations))
+
+
+# the MobiusBatch fields with one entry per row; omx is one per base
+ROW_FIELDS = ("images", "radii", "arclengths", "one_minus_r2", "dens")
+
+
 class TestBatchInvariance:
     """A row's result depends on that row alone, never on its block."""
 
@@ -445,13 +495,14 @@ class TestBatchInvariance:
         locations, boundary = invariance_block(n, rng=rng)
         u = rng.normal(size=n)
         x = r * (u / np.linalg.norm(u))
-        block = geo.mobius_batch(x, locations, *geo.row_prep(locations, boundary), boundary)
+        block = geo.mobius_batch(x, locations, one_minus_sq_rows(locations, boundary), boundary)
         for i in range(len(locations)):
             rows, bd = locations[i:i + 1], boundary[i:i + 1]
-            one = geo.mobius_batch(x, rows, *geo.row_prep(rows, bd), bd)
-            for field in geo.MobiusBatch._fields:
+            one = geo.mobius_batch(x, rows, one_minus_sq_rows(rows, bd), bd)
+            for field in ROW_FIELDS:
                 np.testing.assert_array_equal(
                     _bits(getattr(block, field)[i]), _bits(getattr(one, field)[0]))
+            assert _bits(block.omx) == _bits(one.omx)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_block_of_bases_matches_one_base_calls(self, n):
@@ -463,10 +514,10 @@ class TestBatchInvariance:
         u /= np.linalg.norm(u, axis=1)[:, None]
         radii = np.concatenate([INVARIANCE_RADII, rng.uniform(0.0, 0.99, 17)])
         bases = radii[:, None] * u
-        rows = geo.row_prep(locations, boundary)
-        block = geo.mobius_batch(bases, locations, *rows, boundary)
+        omy = one_minus_sq_rows(locations, boundary)
+        block = geo.mobius_batch(bases, locations, omy, boundary)
         for j, x in enumerate(bases):
-            one = geo.mobius_batch(x, locations, *rows, boundary)
+            one = geo.mobius_batch(x, locations, omy, boundary)
             for field in geo.MobiusBatch._fields:
                 np.testing.assert_array_equal(
                     _bits(getattr(block, field)[j]), _bits(getattr(one, field)))
@@ -615,8 +666,8 @@ def geometry_record(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_geometry_values_bit_identical(n):
-    # single-point and fold_map entries recorded before the Mobius kernel
-    # became batch-invariant; only the mobius_map entries were re-recorded
+    # re-recorded in full when the Mobius kernel took the sum form, which
+    # among others moved hyp_distance(x, x) near the sphere from inf to 0
     expected = json.loads(GEOMETRY_GOLDEN.read_text())[str(n)]
     assert geometry_record(n) == expected
     # each mobius_map row equals the recorded one-point mobius at that (x, y)

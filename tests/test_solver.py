@@ -384,11 +384,10 @@ def test_newton_converges_under_table_on_former_stall():
 
 
 def test_newton_accepts_below_energy_resolution():
-    # seed-47 measure 180 of the quadrature benchmark workload: the exact
-    # Newton step takes |V| from 1.5e-9 to 4.6e-15 while the energy comes out
-    # 3e-15 higher, so a trial judged on energy alone was rejected and descent
-    # stalled at residual 3.07e-10
-    ctx = en.energy_context(wt.log_damped(), quadrature_measure(47, 180))
+    # seed-47 measure 10 of the quadrature benchmark workload: the last exact
+    # Newton step takes the residual from 8.8e-10 to 3.0e-17 while the energy
+    # comes out 2.5e-16 higher, so a trial judged on energy alone is rejected
+    ctx = en.energy_context(wt.log_damped(), quadrature_measure(47, 10))
     result = sv.solve_center(ctx, sv.SolveOptions(strategy="newton"))
     assert result.converged
     assert result.residual <= 1e-15
@@ -413,7 +412,7 @@ def golden_solves():
     identity = wt.identity()
     sphere0 = en.energy_context(identity, sphere_measure(2, 7, np.random.default_rng(0)))
     sphere1 = en.energy_context(identity, sphere_measure(2, 7, np.random.default_rng(1)))
-    interior = en.energy_context(identity, interior_measure(3, 9, 0))
+    interior = en.energy_context(identity, interior_measure(3, 9, 5))
     return {
         # Armijo and |V|-decrease acceptances
         "descent_sphere_2d": (sphere0, sv.SolveOptions()),
@@ -442,8 +441,9 @@ class TestSolveGolden:
         # re-recorded when x.y in the Mobius kernel became a stacked per-row
         # dot and sphere rows kept their own |y|^2, and newton_interior_3d
         # when the Newton model took the closed-form Hessian and again when
-        # its trials were accepted on |V| below the energy's resolution: each
-        # solve takes the branches named in golden_solves
+        # its trials were accepted on |V| below the energy's resolution; all
+        # four when the kernel took the sum form.  Each solve takes the
+        # branches named in golden_solves
         ctx, opts = golden_solves()[name]
         expected = json.loads(GOLDEN.read_text())[name]
         assert solve_record(sv.solve_center(ctx, opts)) == expected
