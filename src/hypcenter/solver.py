@@ -1,16 +1,17 @@
-"""Center-of-mass solver: geodesic descent on the renormalized energy.
+"""Center-of-mass solver: Newton steps on the renormalized energy, with
+geodesic descent as their fallback and as the paper's own method.
 
-The iterate moves along exact hyperbolic geodesics, x <- T_x(-tanh(tau) V/|V|),
-with an Armijo-backtracked arclength step; along a unit-speed geodesic the
-energy's directional derivative is -|V|, so the sufficient-decrease test reads
-E_new <= E - c1 tau |V|.  A Newton-accelerated strategy builds a trust-region
-quadratic model from the closed-form Hessian of the current point and falls
-back to the descent step whenever that Hessian is not finite and positive
-definite or the trial fails to decrease the energy; where the model's
-predicted decrease lies below the energy's rounding, a decrease of |V|
-accepts the trial instead, as in descent.  Each trial point costs
-one energy_and_field pass; an accepted point keeps its field and the means to
-assemble its Hessian from that pass.
+A Newton trial is the trust-region step of the closed-form Hessian at the
+current point.  Where that Hessian has a Cholesky factor the step descends
+(1/2)|grad E|^2 (Dennis and Schnabel, 1983, ch. 6), so the trial is accepted
+on one rule: the euclidean gradient norm |V|/(1 - |x|^2) falls.  That norm is
+a sum without cancellation; the summed energy is not.  Without a factor, or
+on a rejected trial, one descent step follows: along the exact geodesic
+x <- T_x(-tanh(tau) V/|V|), where the energy's directional derivative is
+-|V|, an Armijo-backtracked arclength step with E_new <= E - c1 tau |V|, or
+with a decrease of |V| where the energy change is below its rounding.  Each
+trial point costs one energy_and_field pass; an accepted point keeps its
+field and the means to assemble its Hessian from that pass.
 
 These rules are written once, as a coroutine (_solve_steps) that yields each
 point it needs evaluated and each Newton model it needs solved.  A single
@@ -105,10 +106,12 @@ class Uniqueness:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Solve settings; the default strategy is Newton with the descent fallback."""
+
     tol_residual: float = 1e-10
     max_iters: int = 500
     initial: Sequence[float] | BallPoint | None = None
-    strategy: Strategy = Strategy.GEODESIC_DESCENT
+    strategy: Strategy = Strategy.NEWTON_ACCELERATED
     multistart: int = 1
 
     def __post_init__(self) -> None:
@@ -196,11 +199,6 @@ def _initial_coords(ctx: EnergyContext, opts: SolveOptions) -> np.ndarray:
     return np.array(interior_point(opts.initial).coords)
 
 
-def _step(x: np.ndarray, direction: np.ndarray, tau: float) -> np.ndarray:
-    """Geodesic step of hyperbolic length tau from x along the unit direction."""
-    return translate_coords(x, math.tanh(tau) * direction)
-
-
 def _cholesky(hess: np.ndarray) -> np.ndarray | None:
     try:
         return np.linalg.cholesky(hess)
@@ -208,7 +206,7 @@ def _cholesky(hess: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _newton_steps(models: list[tuple]) -> list[tuple[np.ndarray, float] | None]:
+def _newton_steps(models: list[tuple]) -> list[np.ndarray | None]:
     """_newton_step for each (x, V, H) model, with one Cholesky over the stack
     of the finite Hessians (per matrix when one of them is not positive
     definite)."""
@@ -225,15 +223,11 @@ def _newton_steps(models: list[tuple]) -> list[tuple[np.ndarray, float] | None]:
     return steps
 
 
-def _newton_step(
-    x: np.ndarray, v: np.ndarray, low: np.ndarray
-) -> tuple[np.ndarray, float] | None:
-    """Trust-region Newton trial point from the Hessian's Cholesky factor and
-    the model's predicted decrease -(1/2) grad E . delta, or None when the
-    trial would leave the ball."""
+def _newton_step(x: np.ndarray, v: np.ndarray, low: np.ndarray) -> np.ndarray | None:
+    """Trust-region Newton trial point from the Hessian's Cholesky factor, or
+    None when the trial would leave the ball."""
     omx = one_minus_sq_norm(x)
-    grad = v / omx
-    delta = -dpotrs(low, grad, lower=1)[0]
+    delta = -dpotrs(low, v / omx, lower=1)[0]
     # keep the trial inside the ball with margin
     trust = 0.5 * omx
     nd = float(np.linalg.norm(delta))
@@ -242,11 +236,11 @@ def _newton_step(
     trial = x + delta
     if float(np.linalg.norm(trial)) >= 1.0 - 1e-12:
         return None
-    return trial, -0.5 * float(grad @ delta)
+    return trial
 
 
 def solve_center(ctx: EnergyContext, opts: SolveOptions = SolveOptions()) -> SolveResult:
-    """Find a zero of V by minimizing the renormalized energy along geodesics.
+    """Find a zero of V by Newton steps with the descent fallback, or by descent.
 
     With ``opts.multistart >= 2`` this delegates to multistart_probe.  Raises
     DivergentIterates when iterates reach |x| >= 1 - 1e-14, which existence
@@ -278,9 +272,10 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
     cls = classify_hypotheses(ctx)
     scale = ctx.residual_scale()
     e_x, v, hessian = yield _EVALUATE, x
-    res = float(np.linalg.norm(v)) / scale
-    res0 = res
-    best = (x, res, e_x, 0)
+    vnorm = float(np.linalg.norm(v))
+    grad = None  # |V|/(1 - |x|^2) at x, kept from the Newton test that took x
+    res = res0 = vnorm / scale
+    best = (x, res, e_x)
     trace: list[tuple[float, float]] = [(e_x, res)]
 
     iters = 0
@@ -289,22 +284,22 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
     while not converged and iters < opts.max_iters:
         iters += 1
         moved = False
-        vnorm = float(np.linalg.norm(v))
-        # once a decrease falls below the energy's floating-point resolution
-        # the energy test reads pure noise; there steps are accepted on a
-        # decrease of |V| instead
-        slack = 1e-15 * (1.0 + abs(e_x))
         if opts.strategy is Strategy.NEWTON_ACCELERATED:
-            step = yield _NEWTON, (x, v, hessian())
-            if step is not None:
-                trial, predicted = step
+            trial = yield _NEWTON, (x, v, hessian())
+            if trial is not None:
                 e_t, v_t, h_t = yield _EVALUATE, trial
-                if e_t < e_x or (
-                    predicted <= slack and float(np.linalg.norm(v_t)) < vnorm
-                ):
-                    x, e_x, v, hessian = trial, e_t, v_t, h_t
+                vnorm_t = float(np.linalg.norm(v_t))
+                grad_t = vnorm_t / one_minus_sq_norm(trial)
+                if grad is None:
+                    grad = vnorm / one_minus_sq_norm(x)
+                if grad_t < grad:
+                    x, e_x, v, hessian, vnorm, grad = trial, e_t, v_t, h_t, vnorm_t, grad_t
                     moved = True
         if not moved:
+            # once a decrease falls below the energy's floating-point
+            # resolution the energy test reads pure noise; there steps are
+            # accepted on a decrease of |V| instead
+            slack = 1e-15 * (1.0 + abs(e_x))
             direction = -v / vnorm
             # step proportional to |V|/total, with a gain that doubles on
             # clean acceptance and shrinks with backtracks: the bare rule
@@ -313,7 +308,7 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
             tau0 = min(1.0, gain * vnorm / scale)
             tau = tau0
             while tau > 1e-15:
-                x_t = _step(x, direction, tau)
+                x_t = translate_coords(x, math.tanh(tau) * direction)
                 e_t, v_t, h_t = yield _EVALUATE, x_t
                 armijo = e_t <= e_x - ARMIJO_DECREASE * tau * vnorm
                 if armijo or (
@@ -338,10 +333,11 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
             else:
                 gain = max(1.0, gain_eff)
             x, e_x, v, hessian = x_t, e_t, v_t, h_t
-        res = float(np.linalg.norm(v)) / scale
+            vnorm, grad = float(np.linalg.norm(v)), None
+        res = vnorm / scale
         trace.append((e_x, res))
         if res < best[1]:
-            best = (x, res, e_x, iters)
+            best = (x, res, e_x)
         if float(np.linalg.norm(x)) >= 1.0 - BOUNDARY_ESCAPE:
             if best[1] >= 0.5 * res0:
                 raise DivergentIterates(
@@ -352,7 +348,7 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
         converged = res <= opts.tol_residual
 
     if not converged:
-        x, res, e_x, _ = best
+        x, res, e_x = best
     uniq = (
         Uniqueness(UniquenessKind.GUARANTEED)
         if cls in UNIQUENESS_CLASSES

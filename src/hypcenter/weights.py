@@ -206,18 +206,21 @@ def _table_cover(rmax: float, r) -> float:
 
 def eval_G_rs(w: RadialWeight, r, s, one_minus_r2=None):
     """Scaled G given consistent (r, s) pairs; the precision path.
-    ``one_minus_r2`` may carry accurate 1 - r^2 values."""
+    ``one_minus_r2`` may carry accurate 1 - r^2 values; a divergent G is inf at 1."""
     r = np.asarray(r, dtype=float)
     if one_minus_r2 is None:
         one_minus_r2 = (1.0 - r) * (1.0 + r)
-    return w.scale * w.G_unscaled(r, np.asarray(s, dtype=float), one_minus_r2)
+    with np.errstate(divide="ignore"):
+        return w.scale * w.G_unscaled(r, np.asarray(s, dtype=float), one_minus_r2)
 
 
 def eval_dg_rs(w: RadialWeight, r, s, one_minus_r2):
-    """Scaled dg/ds = g'(r)(1 - r^2) given consistent (r, s, 1 - r^2) rows."""
-    return w.scale * w.dg_unscaled(
-        np.asarray(r, dtype=float), np.asarray(s, dtype=float), one_minus_r2
-    )
+    """Scaled dg/ds = g'(r)(1 - r^2) given consistent (r, s, 1 - r^2) rows;
+    inf where it diverges (arctanh_power, p < 2, at s = 0)."""
+    with np.errstate(divide="ignore"):
+        return w.scale * w.dg_unscaled(
+            np.asarray(r, dtype=float), np.asarray(s, dtype=float), one_minus_r2
+        )
 
 
 def eval_G(w: RadialWeight, r):

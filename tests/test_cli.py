@@ -216,7 +216,8 @@ class TestCenter:
         # re-recorded when x.y in the Mobius kernel became a stacked per-row
         # dot: every energy evaluation moved at the last bit; the newton
         # report again when the Newton model took the closed-form Hessian,
-        # and all three when the kernel took the sum form
+        # all three when the kernel took the sum form, and the two default-
+        # strategy reports when Newton became the default
         out = tmp_path / "report.json"
         assert run([command, "-i", str(GOLDEN / job), "-o", str(out), *flags]) == 0
         assert out.read_bytes() == (GOLDEN / report).read_bytes()

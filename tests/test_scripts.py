@@ -3,6 +3,7 @@ benchmark tracer's layer functions exist."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +32,26 @@ def test_script_exits_zero(script, args):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_report_sweep_digests_each_job(tmp_path):
+    # two runs of the same jobs on one checkout write the same file
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    jobs = ["center.center_sphere_2d.descent", "reproduce.two-zeros"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for out in (first, second):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "report_sweep.py"),
+             "-o", str(out), "--jobs", *jobs],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert first.read_bytes() == second.read_bytes()
+    sweep = json.loads(first.read_text())
+    assert sorted(sweep) == jobs
+    for run in sweep.values():
+        assert run["exit"] == 0
+        assert len(run["report_sha256"]) == 64
 
 
 def test_tracer_layers_importable():

@@ -113,7 +113,7 @@ class TestSolveCenter:
     def test_energy_decreases_along_trace(self):
         mu = sphere_measure(3, 12, np.random.default_rng(4))
         ctx = en.energy_context(wt.identity(), mu)
-        result = sv.solve_center(ctx)
+        result = sv.solve_center(ctx, sv.SolveOptions(strategy="descent"))
         # strictly decreasing while resolvable, never increasing beyond noise
         for (ea, ra), (eb, _) in zip(result.trace, result.trace[1:]):
             if ra > 1e-6:
@@ -124,12 +124,15 @@ class TestSolveCenter:
     def test_newton_matches_descent(self):
         mu = sphere_measure(2, 9, np.random.default_rng(9))
         ctx = en.energy_context(wt.identity(), mu)
-        descent = sv.solve_center(ctx)
+        descent = sv.solve_center(ctx, sv.SolveOptions(strategy="descent"))
         newton = sv.solve_center(
             ctx, sv.SolveOptions(strategy=sv.Strategy.NEWTON_ACCELERATED)
         )
         assert newton.converged
         assert geo.hyp_distance(descent.x_c, newton.x_c) < 1e-8
+
+    def test_newton_is_the_default(self):
+        assert sv.SolveOptions().strategy is sv.Strategy.NEWTON_ACCELERATED
 
     @pytest.mark.parametrize("starts", [0, -3, True, False, 2.0, "3"])
     def test_bad_multistart_rejected(self, starts):
@@ -394,8 +397,51 @@ def test_newton_accepts_below_energy_resolution():
     assert result.trace[-1][0] > result.trace[-2][0]
 
 
-GOLDEN = Path(__file__).parent / "golden" / "solver_traces.json"
+class TestNewtonAcceptance:
+    """A Newton trial is judged by the euclidean gradient norm
+    |V| / (1 - |x|^2) alone, never by the energy: _solve_steps is driven by
+    hand with crafted (E, V, Hessian) answers."""
+
+    E0, V0 = 1.0, np.array([0.1, 0.0])
+
+    def first_trial(self):
+        ctx = en.energy_context(wt.identity(), interior_measure(2, 5, 0))
+        steps = sv._solve_steps(ctx, NEWTON, np.zeros(2))
+        assert next(steps)[0] is sv._EVALUATE
+        kind, model = steps.send((self.E0, self.V0, lambda: np.eye(2)))
+        assert kind is sv._NEWTON
+        kind, trial = steps.send(sv._newton_steps([model])[0])
+        assert kind is sv._EVALUATE
+        return steps, trial
+
+    def test_energy_rise_with_falling_gradient_accepted(self):
+        steps, trial = self.first_trial()
+        # H = I at the origin: the full Newton step, predicted decrease
+        # 0.005, far above the energy's rounding
+        assert np.array_equal(trial, -self.V0)
+        predicted = -0.5 * float(self.V0 @ trial)
+        assert predicted > 1e-15 * (1.0 + self.E0)
+        v_t = 1e-3 * self.V0
+        kind, model = steps.send((self.E0 * (1.0 + 1e-12), v_t, lambda: np.eye(2)))
+        assert kind is sv._NEWTON
+        x, v, _ = model
+        assert np.array_equal(x, trial)
+        assert v is v_t
+
+    def test_energy_fall_with_rising_gradient_rejected(self):
+        steps, trial = self.first_trial()
+        # |V| falls by 0.1 %, but the conformal factor 1/(1 - |trial|^2)
+        # raises the gradient norm by about 1 %
+        kind, point = steps.send((self.E0 - 0.5, 0.999 * self.V0, lambda: np.eye(2)))
+        assert kind is sv._EVALUATE
+        # the descent point: a geodesic step from the origin along -V
+        assert point[1] == 0.0 and 0.0 > point[0] > -1.0
+        assert not np.array_equal(point, trial)
+
+
+GOLDEN =Path(__file__).parent / "golden" / "solver_traces.json"
 NEWTON = sv.SolveOptions(strategy=sv.Strategy.NEWTON_ACCELERATED)
+DESCENT = sv.SolveOptions(strategy=sv.Strategy.GEODESIC_DESCENT)
 
 
 def interior_measure(n, count, seed):
@@ -415,14 +461,14 @@ def golden_solves():
     interior = en.energy_context(identity, interior_measure(3, 9, 5))
     return {
         # Armijo and |V|-decrease acceptances
-        "descent_sphere_2d": (sphere0, sv.SolveOptions()),
+        "descent_sphere_2d": (sphere0, DESCENT),
         # below the energy's resolution: |V|-decrease acceptances, then the
         # line search stalls and the solve ends unconverged
-        "descent_slack_2d": (sphere1, sv.SolveOptions(tol_residual=1e-16)),
-        # Newton trials only, the last accepted on a decrease of |V| while
-        # the energy rises by rounding noise
+        "descent_slack_2d": (sphere1, replace(DESCENT, tol_residual=1e-16)),
+        # Newton trials only, the last accepted because the gradient norm
+        # fell, while the energy rises by rounding noise
         "newton_interior_3d": (interior, NEWTON),
-        "multistart_sphere_2d": (sphere0, sv.SolveOptions(multistart=4)),
+        "multistart_sphere_2d": (sphere0, replace(DESCENT, multistart=4)),
     }
 
 
@@ -448,7 +494,7 @@ class TestSolveGolden:
         expected = json.loads(GOLDEN.read_text())[name]
         assert solve_record(sv.solve_center(ctx, opts)) == expected
 
-    @pytest.mark.parametrize("opts", [sv.SolveOptions(), NEWTON], ids=["descent", "newton"])
+    @pytest.mark.parametrize("opts", [DESCENT, NEWTON], ids=["descent", "newton"])
     def test_one_mobius_pass_per_point(self, monkeypatch, opts):
         # the Newton model comes from the point's own pass: no extra kernel
         # call at a finite-difference stencil point x +- h e_j
@@ -484,7 +530,7 @@ class TestSolveGolden:
         assert not np.isfinite(en.energy_and_field(ctx, start)[2]()).all()
         one = {"initial": start, "max_iters": 1}
         newton = sv.solve_center(ctx, sv.SolveOptions(strategy="newton", **one))
-        descent = sv.solve_center(ctx, sv.SolveOptions(**one))
+        descent = sv.solve_center(ctx, sv.SolveOptions(strategy="descent", **one))
         assert newton.trace == descent.trace
         assert newton.x_c.coords.tobytes() == descent.x_c.coords.tobytes()
         assert sv.solve_center(ctx, NEWTON).converged

@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,11 @@ class TestEvalBigG:
     def test_domain(self):
         with pytest.raises(DomainError):
             wt.eval_G(wt.identity(), 1.0)
+
+    def test_divergent_on_the_sphere_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert wt.eval_G_rs(wt.identity(), 1.0, math.inf, 0.0) == math.inf
 
     @pytest.mark.parametrize("name", sorted(ALL_WEIGHTS))
     def test_derivative_matches_g(self, name):
@@ -237,7 +243,9 @@ class TestArclengthSlope:
         assert slope == pytest.approx(limit, rel=1e-8, abs=1e-8)
 
     def test_arctanh_power_below_two_is_infinite_at_origin(self):
-        with np.errstate(divide="ignore"):
+        # the documented infinity comes back without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert wt.eval_dg_rs(wt.arctanh_power(1.5), 0.0, 0.0, 1.0) == math.inf
 
     @pytest.mark.parametrize("name", sorted(n for n, w in ALL_WEIGHTS.items() if w.g1 is not None))
