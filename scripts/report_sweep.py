@@ -9,7 +9,9 @@ on two checkouts and diff the two JSON files to list the jobs a change moves:
     diff parent.json change.json
 
 The job inputs are the golden CLI jobs under tests/golden/ of the checkout
-that holds this script, so both runs read the same files.
+that holds this script, so both runs read the same files, and a seeded
+2000-atom 3-d interior measure that the script writes to its temporary
+directory, which covers report writing at scale.
 
 Usage: python scripts/report_sweep.py [-o sweep.json] [--jobs NAME ...]
        [--reports DIR]
@@ -25,6 +27,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from hypcenter import cli, fixtures
 
@@ -44,11 +48,14 @@ def jobs(workdir: Path) -> dict[str, list[str]]:
     energy_doc["ray"] = {"dir": [1.0, 0.0], "tau_max": 4.0, "count": 9}
     energy_job = workdir / "energy_sphere_2d.json"
     energy_job.write_text(json.dumps(energy_doc))
+    large_job = workdir / "center_2000_3d.json"
+    large_job.write_text(json.dumps(large_doc(2000, seed=0)))
 
     table = {}
     for name in CENTER_INPUTS:
         for tag, flags in CENTER_FLAGS.items():
             table[f"center.{name}.{tag}"] = ["center", "-i", str(GOLDEN / f"{name}.json"), *flags]
+    table["center.large_2000_3d"] = ["center", "-i", str(large_job)]
     table["fold.fold_2d"] = ["fold", "-i", str(GOLDEN / "fold_2d.json")]
     table["energy.sphere_2d"] = ["energy", "-i", str(energy_job)]
     for seed in range(4):
@@ -56,6 +63,21 @@ def jobs(workdir: Path) -> dict[str, list[str]]:
     for name in sorted(fixtures.REGISTRY):
         table[f"reproduce.{name}"] = ["reproduce", name]
     return table
+
+
+def large_doc(atoms: int, seed: int) -> dict:
+    """A 3-d identity-weight job: uniform directions, hyperbolic radii
+    U(0, 3) and weights U(0.2, 1)."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(atoms, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    locs = np.tanh(rng.uniform(0.0, 3.0, size=atoms))[:, None] * dirs
+    weights = rng.uniform(0.2, 1.0, size=atoms)
+    return {
+        "dimension": 3,
+        "atoms": [{"x": x, "w": w} for x, w in zip(locs.tolist(), weights.tolist())],
+        "weight": {"kind": "identity", "params": {}},
+    }
 
 
 def digest(data: bytes) -> str:

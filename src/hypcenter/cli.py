@@ -24,8 +24,8 @@ import numpy as np
 from . import fixtures, oracle
 from .energy import EnergyContext, energy_and_field, energy_context, field_V
 from .errors import DivergentIterates, HypcenterError, SchemaError
-from .geometry import fold_map, geodesic, geodesic_point, halfspace, mobius_map
-from .measures import atomic_measure, pushforward
+from .geometry import _images, fold_map, geodesic, geodesic_point, halfspace, mobius_batch
+from .measures import AtomicMeasure, atomic_measure, pushforward
 from .solver import SolveOptions, SolveResult, UniquenessKind, solve_center
 from .weights import weight_from_config
 
@@ -38,27 +38,38 @@ EXIT_NOT_CONVERGED = 4
 
 # -- deterministic JSON ------------------------------------------------------
 
+def _floats(template: str, count: int, values: Sequence[float]) -> str:
+    """``count`` copies of a %.17g template joined by ", ", formatted by one %
+    call.  %.17g writes an n only for inf and nan, and the templates carry
+    none, so one test rejects every non-finite value."""
+    text = ", ".join([template] * count) % tuple(values)
+    if "n" in text:
+        raise SchemaError("reports cannot carry non-finite numbers")
+    return text
+
+
 def _render(value: Any) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            raise SchemaError("reports cannot carry non-finite numbers")
-        return format(v, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        return _render(value.tolist())
-    if isinstance(value, Mapping):
+    kind = type(value)  # plain values first, without the ABC checks
+    if kind is float:
+        return _floats("%.17g", 1, [value])
+    if kind is list or kind is tuple:
+        if set(map(type, value)) <= {float}:
+            return "[" + _floats("%.17g", len(value), value) + "]"
+        return "[" + ", ".join(map(_render, value)) + "]"
+    if kind is dict:
         inner = ", ".join(f"{json.dumps(k)}: {_render(v)}" for k, v in value.items())
         return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
+    if kind is AtomicMeasure:  # its atoms [{"x": [...], "w": w}, ...], in one pass
+        row = '{"x": [' + ", ".join(["%.17g"] * value.dimension) + '], "w": %.17g}'
+        rows = np.column_stack((value.locations, value.weights)).ravel().tolist()
+        return "[" + _floats(row, len(value), rows) + "]"
+    if value is None or isinstance(value, (str, int)):  # bool is an int
+        return json.dumps(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _render(value.tolist())
+    for plain, types in ((float, float), (dict, Mapping), (list, (list, tuple))):
+        if isinstance(value, types):
+            return _render(plain(value))
     raise SchemaError(f"cannot serialize {type(value).__name__} into a report")
 
 
@@ -144,8 +155,10 @@ def build_context(doc: Mapping) -> EnergyContext:
 def _solve_payload(
     ctx: EnergyContext, result: SolveResult, command: str, seed: int
 ) -> dict:
-    pushed = pushforward(ctx.measure, mobius_map(result.x_c))
-    atoms = zip(pushed.locations.tolist(), pushed.weights.tolist())
+    mu = ctx.measure  # recentred through T_{x_c} with its own 1 - |y|^2 datum
+    batch = mobius_batch(
+        result.x_c.coords, mu.locations, mu.one_minus_sq_values, mu.boundary_mask)
+    recentred = AtomicMeasure(_images(batch, mu.boundary_mask), mu.weights, mu.boundary_mask)
     return {
         "command": command,
         "seed": seed,
@@ -164,7 +177,7 @@ def _solve_payload(
         },
         "recentered_input": {
             "dimension": ctx.dimension,
-            "atoms": [{"x": x, "w": w} for x, w in atoms],
+            "atoms": recentred,
             "weight": ctx.weight.describe(),
         },
     }
@@ -233,7 +246,7 @@ def run_energy(args: argparse.Namespace) -> int:
         g = geodesic(base, sign * direction)
         for tau in np.linspace(0.0, tau_max, count):
             x = geodesic_point(g, math.tanh(tau)).coords
-            energy, field, _ = energy_and_field(ctx, x)
+            energy, field, _, _ = energy_and_field(ctx, x)
             samples.append(
                 {
                     "direction": int(sign),

@@ -238,14 +238,15 @@ def renormalized_energy(ctx: EnergyContext, x: XLike) -> float:
 
 
 def energy_and_field(ctx: EnergyContext, x: XLike) -> tuple:
-    """Energy, field V and euclidean Hessian from a single Mobius pass (solver
-    hot path).  The Hessian comes as a no-argument function that assembles it
-    from the same pass when called, so a point whose Hessian is never read (a
-    descent step, a rejected trial) does not pay for it.
+    """Energy, field V, euclidean Hessian and 1 - |x|^2 from a single Mobius
+    pass (solver hot path).  The Hessian comes as a no-argument function that
+    assembles it from the same pass when called, so a point whose Hessian is
+    never read (a descent step, a rejected trial) does not pay for it.
 
-    At a (k, n) block of points: a list of k energies, the (k, n) fields and
-    k Hessian functions, the first call of which assembles the whole block's
-    Hessians.  Row j equals the call at the point x[j], bit for bit."""
+    At a (k, n) block of points: a list of k energies, the (k, n) fields, k
+    Hessian functions, the first call of which assembles the whole block's
+    Hessians, and a list of k values 1 - |x|^2.  Row j equals the call at the
+    point x[j], bit for bit."""
     xv = _as_interior_coords(ctx, x, block=True)
     batch = _batch(ctx.measure, xv)
     energies = _fsum_last(ctx.measure.weights * _kernel_terms(ctx, batch))
@@ -253,9 +254,10 @@ def energy_and_field(ctx: EnergyContext, x: XLike) -> tuple:
     v = _field(ctx, g_vals, units)
     hessian = partial(_hessian, ctx, xv, batch, g_vals, units, v)
     if xv.ndim == 1:
-        return energies[0], v, hessian
+        return energies[0], v, hessian, batch.omx
     stack = cache(hessian)
-    return energies, v, [partial(_row, stack, j) for j in range(len(xv))]
+    hessians = [partial(_row, stack, j) for j in range(len(xv))]
+    return energies, v, hessians, batch.omx[:, 0].tolist()
 
 
 def _row(stack: Callable[[], np.ndarray], j: int) -> np.ndarray:

@@ -239,10 +239,10 @@ def _mobius_rows(x: np.ndarray, locations: np.ndarray, boundary: np.ndarray) -> 
         x, locations, np.where(boundary, 0.0, one_minus_sq_norms(locations)), boundary)
 
 
-def _images(x: np.ndarray, locations: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-    """T_x images of raw rows: sphere images renormalized onto the sphere,
-    interior images clamped inside it."""
-    img = _mobius_rows(x, locations, boundary).images
+def _images(batch: MobiusBatch, boundary: np.ndarray) -> np.ndarray:
+    """A batch's T_x images, in place: sphere images renormalized onto the
+    sphere, interior images clamped inside it."""
+    img = batch.images
     nr = _clamp_inside(img, boundary)
     if boundary.any():
         img[boundary] /= nr[boundary, None]
@@ -286,7 +286,7 @@ def mobius_map(x: PointLike) -> ArrayMap:
     def apply(locations: np.ndarray, boundary: np.ndarray):
         if locations.shape[1] != xp.dim:
             raise DimensionMismatch(f"dim {xp.dim} vs {locations.shape[1]}")
-        return _images(xp.coords, locations, boundary), boundary.copy()
+        return _images(_mobius_rows(xp.coords, locations, boundary), boundary), boundary.copy()
 
     return apply
 
@@ -350,7 +350,7 @@ def geodesic_points(g: Geodesic, ts: Sequence[float]) -> np.ndarray:
     rows = np.multiply.outer(ts, g.dir)
     interior = np.zeros(len(ts), dtype=bool)
     _clamp_inside(rows, interior)
-    return _images(g.base.coords, rows, interior)
+    return _images(_mobius_rows(g.base.coords, rows, interior), interior)
 
 
 def geodesic_point(g: Geodesic, t: float) -> BallPoint:
@@ -421,7 +421,7 @@ def _reflect_rows(h: Halfspace, w: np.ndarray, boundary: np.ndarray) -> np.ndarr
     """Reflect pulled-back rows across {y.p = 0} and translate them back by T_{tp}."""
     c = w - 2.0 * _row_dots(w, h.p)[:, None] * h.p
     _clamp_inside(c, boundary)
-    return _images(h.t * h.p, c, boundary)
+    return _images(_mobius_rows(h.t * h.p, c, boundary), boundary)
 
 
 def halfspace_contains(h: Halfspace, y: PointLike, tol: float = 0.0) -> bool:
@@ -465,4 +465,4 @@ def fold_map(h: Halfspace) -> ArrayMap:
 
 def translate_coords(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """T_x(w) on raw interior coordinates: one kernel row, unvalidated."""
-    return _images(x, w[None], _NO_SPHERE)[0]
+    return _images(_mobius_rows(x, w[None], _NO_SPHERE), _NO_SPHERE)[0]

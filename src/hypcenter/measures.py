@@ -80,11 +80,11 @@ class AtomicMeasure:
 
     @property
     def total(self) -> float:
-        return float(math.fsum(self.weights))
+        return math.fsum(self.weights.tolist())
 
     @property
     def abs_total(self) -> float:
-        return float(math.fsum(abs(w) for w in self.weights))
+        return math.fsum(np.abs(self.weights).tolist())
 
     @property
     def signed(self) -> bool:

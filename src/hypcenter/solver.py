@@ -47,7 +47,6 @@ from .geometry import (
     _mobius_rows,
     hyp_distance,
     interior_point,
-    one_minus_sq_norm,
     translate_coords,
 )
 from .measures import CO_LOCATION_TOL, AtomicMeasure, GeodesicSupport, Support
@@ -207,11 +206,11 @@ def _cholesky(hess: np.ndarray) -> np.ndarray | None:
 
 
 def _newton_steps(models: list[tuple]) -> list[np.ndarray | None]:
-    """_newton_step for each (x, V, H) model, with one Cholesky over the stack
-    of the finite Hessians (per matrix when one of them is not positive
-    definite)."""
-    finite = [i for i, (_, _, hess) in enumerate(models) if np.isfinite(hess).all()]
-    stack = np.array([models[i][2] for i in finite])
+    """_newton_step for each (x, V, 1 - |x|^2, H) model, with one Cholesky over
+    the stack of the finite Hessians (per matrix when one of them is not
+    positive definite)."""
+    finite = [i for i, (*_, hess) in enumerate(models) if np.isfinite(hess).all()]
+    stack = np.array([models[i][-1] for i in finite])
     try:
         lows = np.linalg.cholesky(stack) if finite else []
     except np.linalg.LinAlgError:
@@ -219,14 +218,13 @@ def _newton_steps(models: list[tuple]) -> list[np.ndarray | None]:
     steps = [None] * len(models)
     for i, low in zip(finite, lows):
         if low is not None:
-            steps[i] = _newton_step(*models[i][:2], low)
+            steps[i] = _newton_step(*models[i][:-1], low)
     return steps
 
 
-def _newton_step(x: np.ndarray, v: np.ndarray, low: np.ndarray) -> np.ndarray | None:
+def _newton_step(x: np.ndarray, v: np.ndarray, omx: float, low: np.ndarray) -> np.ndarray | None:
     """Trust-region Newton trial point from the Hessian's Cholesky factor, or
-    None when the trial would leave the ball."""
-    omx = one_minus_sq_norm(x)
+    None when the trial would leave the ball; omx is 1 - |x|^2."""
     delta = -dpotrs(low, v / omx, lower=1)[0]
     # keep the trial inside the ball with margin
     trust = 0.5 * omx
@@ -266,14 +264,13 @@ _EVALUATE, _NEWTON = "evaluate", "newton"
 
 def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
     """The solve from x as a coroutine.  It yields (_EVALUATE, point) and is
-    sent energy_and_field's (E, V, Hessian function) at that point; it yields
-    (_NEWTON, (x, V, H)) and is sent that model's _newton_step.  It returns the
-    SolveResult, or raises DivergentIterates."""
+    sent energy_and_field's (E, V, Hessian function, 1 - |x|^2) at that point;
+    it yields (_NEWTON, (x, V, 1 - |x|^2, H)) and is sent that model's
+    _newton_step.  It returns the SolveResult, or raises DivergentIterates."""
     cls = classify_hypotheses(ctx)
     scale = ctx.residual_scale()
-    e_x, v, hessian = yield _EVALUATE, x
+    e_x, v, hessian, omx = yield _EVALUATE, x
     vnorm = float(np.linalg.norm(v))
-    grad = None  # |V|/(1 - |x|^2) at x, kept from the Newton test that took x
     res = res0 = vnorm / scale
     best = (x, res, e_x)
     trace: list[tuple[float, float]] = [(e_x, res)]
@@ -285,15 +282,12 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
         iters += 1
         moved = False
         if opts.strategy is Strategy.NEWTON_ACCELERATED:
-            trial = yield _NEWTON, (x, v, hessian())
+            trial = yield _NEWTON, (x, v, omx, hessian())
             if trial is not None:
-                e_t, v_t, h_t = yield _EVALUATE, trial
+                e_t, v_t, h_t, omx_t = yield _EVALUATE, trial
                 vnorm_t = float(np.linalg.norm(v_t))
-                grad_t = vnorm_t / one_minus_sq_norm(trial)
-                if grad is None:
-                    grad = vnorm / one_minus_sq_norm(x)
-                if grad_t < grad:
-                    x, e_x, v, hessian, vnorm, grad = trial, e_t, v_t, h_t, vnorm_t, grad_t
+                if vnorm_t / omx_t < vnorm / omx:
+                    x, e_x, v, hessian, omx, vnorm = trial, e_t, v_t, h_t, omx_t, vnorm_t
                     moved = True
         if not moved:
             # once a decrease falls below the energy's floating-point
@@ -309,7 +303,7 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
             tau = tau0
             while tau > 1e-15:
                 x_t = translate_coords(x, math.tanh(tau) * direction)
-                e_t, v_t, h_t = yield _EVALUATE, x_t
+                e_t, v_t, h_t, omx_t = yield _EVALUATE, x_t
                 armijo = e_t <= e_x - ARMIJO_DECREASE * tau * vnorm
                 if armijo or (
                     e_t <= e_x + slack and float(np.linalg.norm(v_t)) < vnorm
@@ -332,8 +326,8 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
                     gain = max(1.0, 0.5 * gain_eff)
             else:
                 gain = max(1.0, gain_eff)
-            x, e_x, v, hessian = x_t, e_t, v_t, h_t
-            vnorm, grad = float(np.linalg.norm(v)), None
+            x, e_x, v, hessian, omx = x_t, e_t, v_t, h_t, omx_t
+            vnorm = float(np.linalg.norm(v))
         res = vnorm / scale
         trace.append((e_x, res))
         if res < best[1]:

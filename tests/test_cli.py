@@ -2,10 +2,16 @@ import json
 import math
 from pathlib import Path
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypcenter import cli
+from hypcenter import measures as ms
+from hypcenter.errors import SchemaError
 
 TANH = math.tanh
 GOLDEN = Path(__file__).parent / "golden"
@@ -393,3 +399,108 @@ def test_verify_subcommand(tmp_path):
     kinds = {s["kind"] for s in report["scans"]}
     assert {"gradient_check", "cocycle_check", "convexity_scan",
             "continuity_check", "zero_set_1d", "distance_convexity"} <= kinds
+
+
+def reference_render(value):
+    """The renderer with one recursive call per value: the reference the
+    one-pass float formatting must match byte for byte."""
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if not math.isfinite(v):
+            raise SchemaError("reports cannot carry non-finite numbers")
+        return format(v, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        return reference_render(value.tolist())
+    if isinstance(value, Mapping):
+        inner = ", ".join(f"{json.dumps(k)}: {reference_render(v)}" for k, v in value.items())
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(reference_render(v) for v in value) + "]"
+    raise SchemaError(f"cannot serialize {type(value).__name__} into a report")
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e22, 1e16, 0.1, 1.0,
+               1.7976931348623157e308, 123456789.125, -1.5e-7]
+# nested payloads whose float runs hold numpy numbers, bools and ints
+PLAIN = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.floats(), st.floats().map(np.float64), st.booleans().map(np.bool_),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.sampled_from(EDGE_FLOATS),
+)
+PAYLOADS = st.recursive(
+    PLAIN,
+    lambda inner: st.lists(inner, max_size=6) | st.tuples(inner, inner)
+    | st.lists(st.floats(), max_size=6)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def measure(locations, weights):
+    """A measure built from raw rows, as the recentred report measure is."""
+    locations = np.array(locations, dtype=float)
+    return ms.AtomicMeasure(locations, np.array(weights, dtype=float),
+                            np.zeros(len(locations), dtype=bool))
+
+
+def render_outcome(render, value):
+    try:
+        return render(value)
+    except SchemaError as exc:
+        return SchemaError, str(exc)
+
+
+class TestRender:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("wrap", [
+        lambda v: v,
+        lambda v: [0.5, v, 1.0],
+        lambda v: {"a": [[0.25], [0.5, v]]},
+        lambda v: [1, np.float64(v)],
+        lambda v: np.array([0.5, v]),
+        lambda v: measure([[0.1, 0.2], [0.3, v]], [1.0, 2.0]),
+        lambda v: measure([[0.1, 0.2]], [v]),
+    ], ids=["lone", "list", "nested", "np.float64", "ndarray", "atom_x", "atom_w"])
+    def test_non_finite_rejected(self, bad, wrap):
+        with pytest.raises(SchemaError, match="non-finite"):
+            cli._render(wrap(bad))
+
+    @pytest.mark.parametrize("value", [
+        EDGE_FLOATS,
+        [[x] for x in EDGE_FLOATS],
+        {"edge": tuple(EDGE_FLOATS), "neg": [-x for x in EDGE_FLOATS]},
+        [True, np.bool_(False), 1.0, np.bool_(True)],
+        [np.int64(-3), np.uint8(7), 2.5, np.int32(0)],
+        [[], (), {}, [[]], {"e": []}],
+        [1, 2.0, -3, 0.1, True, None, "x"],
+        np.array(EDGE_FLOATS),
+        np.array([[1, 2], [3, 4]]),
+        [np.float32(0.1), np.float64(0.1), 0.1],
+    ], ids=["floats", "singletons", "dict", "bools", "numpy_ints", "empty", "mixed",
+            "ndarray", "int_array", "float32"])
+    def test_matches_reference(self, value):
+        assert cli._render(value) == reference_render(value)
+
+    def test_measure_matches_per_atom_dicts(self):
+        rng = np.random.default_rng(5)
+        locs = rng.uniform(-0.5, 0.5, size=(40, 3))
+        locs[:5] = [[-0.0, 5e-324, 1e-22], [1.0, 0.0, 0.0], [0.1, 0.2, 0.3],
+                    [1e-300, -1e-300, 0.5], [0.6, 0.8, 0.0]]
+        w = rng.uniform(-1.0, 1.0, size=40)
+        atoms = [{"x": x, "w": wi} for x, wi in zip(locs.tolist(), w.tolist())]
+        assert cli._render(measure(locs, w)) == reference_render(atoms)
+        assert cli._render(measure(locs[:, :1], w)) == reference_render(
+            [{"x": x[:1], "w": wi} for x, wi in zip(locs.tolist(), w.tolist())])
+
+    @settings(derandomize=True, max_examples=300)
+    @given(PAYLOADS)
+    def test_nested_payloads_match_reference(self, value):
+        assert render_outcome(cli._render, value) == render_outcome(reference_render, value)

@@ -235,9 +235,14 @@ class TestRenormalizedEnergy:
     def test_energy_and_field_consistent(self):
         ctx = mixed_context()
         x = [0.2, 0.3]
-        e, v, _ = en.energy_and_field(ctx, x)
+        e, v, _, omx = en.energy_and_field(ctx, x)
         assert e == en.renormalized_energy(ctx, x)
         np.testing.assert_array_equal(v, en.field_V(ctx, x))
+        # the pass's own 1 - |x|^2, as the single-point sum gives it
+        assert omx == geo.one_minus_sq_norm(np.array(x))
+        block = np.array([x, [-0.5, 0.1], x])
+        assert en.energy_and_field(ctx, block)[3] == [
+            omx, geo.one_minus_sq_norm(block[1]), omx]
 
 
 class TestInteriorKernelConvexity:
@@ -385,7 +390,7 @@ class TestHessian:
     def test_non_finite_where_the_slope_is(self):
         atoms = [([0.25, -0.5], 1.0), ([-0.3, 0.1], 0.7)]
         ctx = en.energy_context(wt.arctanh_power(1.5), ms.atomic_measure(atoms))
-        _, v, hessian = en.energy_and_field(ctx, [-0.25, 0.5])
+        _, v, hessian, _ = en.energy_and_field(ctx, [-0.25, 0.5])
         assert np.isfinite(v).all()
         assert not np.isfinite(hessian()).all()
 

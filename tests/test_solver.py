@@ -400,7 +400,7 @@ def test_newton_accepts_below_energy_resolution():
 class TestNewtonAcceptance:
     """A Newton trial is judged by the euclidean gradient norm
     |V| / (1 - |x|^2) alone, never by the energy: _solve_steps is driven by
-    hand with crafted (E, V, Hessian) answers."""
+    hand with crafted (E, V, Hessian, 1 - |x|^2) answers."""
 
     E0, V0 = 1.0, np.array([0.1, 0.0])
 
@@ -408,7 +408,7 @@ class TestNewtonAcceptance:
         ctx = en.energy_context(wt.identity(), interior_measure(2, 5, 0))
         steps = sv._solve_steps(ctx, NEWTON, np.zeros(2))
         assert next(steps)[0] is sv._EVALUATE
-        kind, model = steps.send((self.E0, self.V0, lambda: np.eye(2)))
+        kind, model = steps.send((self.E0, self.V0, lambda: np.eye(2), 1.0))
         assert kind is sv._NEWTON
         kind, trial = steps.send(sv._newton_steps([model])[0])
         assert kind is sv._EVALUATE
@@ -422,17 +422,19 @@ class TestNewtonAcceptance:
         predicted = -0.5 * float(self.V0 @ trial)
         assert predicted > 1e-15 * (1.0 + self.E0)
         v_t = 1e-3 * self.V0
-        kind, model = steps.send((self.E0 * (1.0 + 1e-12), v_t, lambda: np.eye(2)))
+        omx_t = geo.one_minus_sq_norm(trial)
+        kind, model = steps.send((self.E0 * (1.0 + 1e-12), v_t, lambda: np.eye(2), omx_t))
         assert kind is sv._NEWTON
-        x, v, _ = model
+        x, v, omx, _ = model
         assert np.array_equal(x, trial)
-        assert v is v_t
+        assert v is v_t and omx == omx_t
 
     def test_energy_fall_with_rising_gradient_rejected(self):
         steps, trial = self.first_trial()
         # |V| falls by 0.1 %, but the conformal factor 1/(1 - |trial|^2)
         # raises the gradient norm by about 1 %
-        kind, point = steps.send((self.E0 - 0.5, 0.999 * self.V0, lambda: np.eye(2)))
+        omx_t = geo.one_minus_sq_norm(trial)
+        kind, point = steps.send((self.E0 - 0.5, 0.999 * self.V0, lambda: np.eye(2), omx_t))
         assert kind is sv._EVALUATE
         # the descent point: a geodesic step from the origin along -V
         assert point[1] == 0.0 and 0.0 > point[0] > -1.0
