@@ -9,7 +9,6 @@ brute-force scans.
 from .energy import (
     EnergyContext,
     energy_context,
-    energy_gradient,
     field_V,
     kernel_K,
     renormalized_energy,
@@ -27,12 +26,9 @@ from .geometry import (
     halfspace,
     halfspace_contains,
     hyp_distance,
-    inverse_exp,
     mobius,
-    mobius_inverse,
     mobius_map,
     point,
-    reflect,
 )
 from .measures import (
     AtomicMeasure,

@@ -106,12 +106,17 @@ def parse_measure(doc: Mapping):
     atoms = doc["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise SchemaError('"atoms" must be a nonempty list')
-    if not all(isinstance(e, dict) and "x" in e and "w" in e for e in atoms):
-        raise SchemaError('each atom needs "x" and "w"')
-    if not all(isinstance(e["x"], list) and len(e["x"]) == n for e in atoms):
+    pairs, bad_length = [], False  # a missing "x" or "w" anywhere outranks a bad length
+    for e in atoms:
+        if not (isinstance(e, dict) and "x" in e and "w" in e):
+            raise SchemaError('each atom needs "x" and "w"')
+        x = e["x"]
+        bad_length = bad_length or not (isinstance(x, list) and len(x) == n)
+        pairs.append((x, e["w"]))
+    if bad_length:
         raise SchemaError(f'atom coordinates must be lists of length {n}')
     try:  # malformed numbers surface as DomainError
-        return atomic_measure([(e["x"], e["w"]) for e in atoms], dimension=n)
+        return atomic_measure(pairs, dimension=n)
     except HypcenterError as exc:
         raise SchemaError(str(exc)) from exc
 

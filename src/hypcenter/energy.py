@@ -287,9 +287,3 @@ def kernel_K(ctx: EnergyContext, x: XLike, y: BallPoint) -> float:
         for b in (_mobius_rows(at, row, _NO_SPHERE) for at in (xv, np.zeros(ctx.dimension)))
     )
     return g_img - g_y
-
-
-def energy_gradient(ctx: EnergyContext, x: XLike) -> np.ndarray:
-    """Euclidean-coordinate gradient of the renormalized energy: V/(1-|x|^2)."""
-    xv = _as_interior_coords(ctx, x)
-    return field_V(ctx, xv) / one_minus_sq_norm(xv)

@@ -68,6 +68,13 @@ def _check(description: str, value: float, bound: float) -> Check:
     return Check(description, float(value), float(bound), bool(abs(value) < bound))
 
 
+def _ambiguity_check(ctx: EnergyContext, starts: int, seed: int) -> Check:
+    """A multistart probe that must find more than one center."""
+    probe = multistart_probe(ctx, SolveOptions(), starts=starts, seed=seed)
+    return Check("multistart reports ambiguity", float(len(probe.uniqueness.representatives)),
+                 2.0, probe.uniqueness.kind is UniquenessKind.AMBIGUOUS)
+
+
 def staircase_weight() -> RadialWeight:
     """Increasing profile: arclength, then twice arclength, then constant 3."""
     return clamped_arctanh([(0.0, 1.0, 0.0), (1.0, 2.0, -1.0), (2.0, 0.0, 3.0)])
@@ -141,15 +148,7 @@ def _run_two_zeros(seed: int) -> FixtureReport:
     )
     checks.append(Check("zero scan: origin zero plus one in (tanh 1, tanh 2)",
                         float(len(half_line)), 2.0, structure_ok))
-    probe = multistart_probe(ctx, SolveOptions(), starts=12, seed=seed)
-    checks.append(
-        Check(
-            "multistart reports ambiguity",
-            float(len(probe.uniqueness.representatives)),
-            2.0,
-            probe.uniqueness.kind is UniquenessKind.AMBIGUOUS,
-        )
-    )
+    checks.append(_ambiguity_check(ctx, 12, seed))
     return FixtureReport("two-zeros", tuple(checks))
 
 
@@ -168,15 +167,7 @@ def _run_flat_interval(seed: int) -> FixtureReport:
         Check("zero interval around the origin", float(len(zeros.intervals)), 1.0,
               interval_ok)
     )
-    probe = multistart_probe(ctx, SolveOptions(), starts=10, seed=seed)
-    checks.append(
-        Check(
-            "multistart reports ambiguity",
-            float(len(probe.uniqueness.representatives)),
-            2.0,
-            probe.uniqueness.kind is UniquenessKind.AMBIGUOUS,
-        )
-    )
+    checks.append(_ambiguity_check(ctx, 10, seed))
     return FixtureReport("flat-interval", tuple(checks))
 
 
@@ -205,15 +196,7 @@ def _run_signed_ball(seed: int) -> FixtureReport:
         _check("V(0)", field_V(ctx, [0.0])[0], 1e-12),
         _check("V(tanh 1)", field_V(ctx, [TANH(1.0)])[0], 1e-12),
     ]
-    probe = multistart_probe(ctx, SolveOptions(), starts=10, seed=seed)
-    checks.append(
-        Check(
-            "multistart reports ambiguity",
-            float(len(probe.uniqueness.representatives)),
-            2.0,
-            probe.uniqueness.kind is UniquenessKind.AMBIGUOUS,
-        )
-    )
+    checks.append(_ambiguity_check(ctx, 10, seed))
     return FixtureReport("signed-ball", tuple(checks))
 
 

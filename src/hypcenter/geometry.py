@@ -264,12 +264,6 @@ def mobius(x: PointLike, y: PointLike) -> BallPoint:
     return _one_row(mobius_map(x), y)
 
 
-def mobius_inverse(x: PointLike, y: PointLike) -> BallPoint:
-    """Inverse translation (T_x)^{-1} = T_{-x}."""
-    xp = interior_point(x)
-    return mobius(BallPoint(-xp.coords, Locus.INTERIOR), y)
-
-
 ArrayMap = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -292,31 +286,13 @@ def mobius_map(x: PointLike) -> ArrayMap:
 
 
 def hyp_distance(x: PointLike, y: PointLike) -> float:
-    """Hyperbolic distance between interior points, arctanh |T_{-x}(y)|."""
+    """Hyperbolic distance between interior points, arctanh |T_{-x}(y)|.
+    Public: perfbench's tracer counts its calls by this name."""
     xp = interior_point(x)
     yp = interior_point(y)
     if xp.dim != yp.dim:
         raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
     return float(_mobius_rows(-xp.coords, yp.coords[None], _NO_SPHERE).arclengths[0])
-
-
-def inverse_exp(x: PointLike, y: PointLike) -> np.ndarray:
-    """Tangent vector at x of length d(x,y) pointing along the geodesic to y.
-
-    Returns the zero vector when x == y (documented convention).
-    """
-    xp = interior_point(x)
-    yp = interior_point(y)
-    if xp.dim != yp.dim:
-        raise DimensionMismatch(f"dim {xp.dim} vs {yp.dim}")
-    if np.array_equal(xp.coords, yp.coords):
-        return np.zeros(xp.dim)
-    batch = _mobius_rows(-xp.coords, yp.coords[None], _NO_SPHERE)
-    w = batch.images[0]
-    nw = float(np.linalg.norm(w))
-    if nw == 0.0:
-        return np.zeros(xp.dim)
-    return float(batch.arclengths[0]) * (w / nw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,14 +335,15 @@ def geodesic_point(g: Geodesic, t: float) -> BallPoint:
 
 
 def geodesic_through(a: PointLike, b: PointLike) -> Geodesic:
-    """The geodesic through two distinct points of the closed ball."""
+    """The geodesic through two distinct points of the closed ball.
+    Public: the pointwise reference for validate's geodesic-support test."""
     pa, pb = point(a), point(b)
     if pa.dim != pb.dim:
         raise DimensionMismatch("points live in different dimensions")
     if pa.is_boundary and not pb.is_boundary:
         pa, pb = pb, pa
     if not pa.is_boundary:
-        w = mobius_inverse(pa, pb).coords
+        w = mobius(-pa.coords, pb).coords
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             raise DegenerateDirection("coincident points define no geodesic")
@@ -382,14 +359,15 @@ def geodesic_through(a: PointLike, b: PointLike) -> Geodesic:
     nc = float(np.linalg.norm(c))
     rho = math.sqrt(max(nc * nc - 1.0, 0.0))
     base = point(c * ((nc - rho) / nc))
-    w = mobius_inverse(base, pb).coords
+    w = mobius(-base.coords, pb).coords
     return Geodesic(base, w / np.linalg.norm(w))
 
 
 def on_geodesic(g: Geodesic, z: PointLike, tol: float = 1e-10) -> bool:
     """Whether z lies on the geodesic (or its sphere endpoints) within tol: the
-    component of T_{-base}(z) transverse to the direction."""
-    w = mobius_inverse(g.base, point(z)).coords
+    component of T_{-base}(z) transverse to the direction.
+    Public: the pointwise reference for validate's geodesic-support test."""
+    w = mobius(-g.base.coords, point(z)).coords
     return float(np.linalg.norm(w - (w @ g.dir) * g.dir)) <= tol
 
 
@@ -425,16 +403,9 @@ def _reflect_rows(h: Halfspace, w: np.ndarray, boundary: np.ndarray) -> np.ndarr
 
 
 def halfspace_contains(h: Halfspace, y: PointLike, tol: float = 0.0) -> bool:
-    """Whether y lies in the closed halfball H(p, t) or on its sphere cap."""
+    """Whether y lies in the closed halfball H(p, t) or on its sphere cap.
+    Public: the fold tests' reference for membership in H."""
     return float(mobius(-h.t * h.p, y).coords @ h.p) <= tol
-
-
-def reflect(h: Halfspace, y: PointLike) -> BallPoint:
-    """Hyperbolic reflection across the wall of H(p, t), by conjugation.
-
-    An isometry of the closed ball: sphere points stay on the sphere."""
-    pull = mobius_map(-h.t * h.p)
-    return _one_row(lambda rows, bd: (_reflect_rows(h, pull(rows, bd)[0], bd), bd), y)
 
 
 def fold(h: Halfspace, y: PointLike) -> BallPoint:
@@ -464,5 +435,6 @@ def fold_map(h: Halfspace) -> ArrayMap:
 
 
 def translate_coords(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """T_x(w) on raw interior coordinates: one kernel row, unvalidated."""
+    """T_x(w) on raw interior coordinates: one kernel row, unvalidated.
+    Public: perfbench's tracer counts the solver's descent steps by this name."""
     return _images(_mobius_rows(x, w[None], _NO_SPHERE), _NO_SPHERE)[0]

@@ -63,7 +63,6 @@ class OracleTolerances:
     zero_grid_span: float = 6.0
     zero_bisect_tol: float = 1e-12
     zero_flat_tol: float = 1e-13
-    refine_tol: float = 1e-10
     # quad's own accuracy (epsabs 1e-10, epsrel 1e-12) over s in [0, 8]
     antiderivative_rel: float = 1e-9
 
@@ -79,7 +78,6 @@ class ScanKind(Enum):
     COCYCLE_CHECK = "cocycle_check"
     CONTINUITY_CHECK = "continuity_check"
     ZERO_SET_1D = "zero_set_1d"
-    ZERO_SET_2D = "zero_set_2d"
     DISTANCE_CONVEXITY = "distance_convexity"
     ANTIDERIVATIVE_CHECK = "antiderivative_check"
 
@@ -505,85 +503,3 @@ def brute_force_zeros_1d(ctx: EnergyContext) -> ZeroSet:
     if ctx.dimension != 1:
         raise DomainError("1-d zero scan needs a 1-d context")
     return brute_force_zeros_along_line(ctx, [1.0])
-
-
-def brute_force_zeros_2d(
-    ctx: EnergyContext,
-    resolution: int = 200,
-    span: float = 3.0,
-) -> tuple[list[np.ndarray], ScanReport]:
-    """Sign-change cell scan on a tanh-warped grid with damped refinement.
-
-    Cells where both components of V change sign seed a damped
-    finite-difference Newton iteration on V (2n field calls per step); this
-    reaches repelling zeros of the -V flow that a plain fixed point cannot.
-    """
-    if ctx.dimension != 2:
-        raise DomainError("2-d zero scan needs a 2-d context")
-    s_grid = np.linspace(-span, span, resolution)
-    xs = np.tanh(s_grid)
-    V1 = np.full((resolution, resolution), np.nan)
-    V2 = np.full((resolution, resolution), np.nan)
-    for i, a in enumerate(xs):
-        for j, b in enumerate(xs):
-            if a * a + b * b >= 1.0 - 1e-10:
-                continue
-            v = field_V(ctx, np.array([a, b]))
-            V1[i, j], V2[i, j] = v[0], v[1]
-
-    def refine(x0: np.ndarray) -> np.ndarray | None:
-        x = x0.copy()
-        for _ in range(60):
-            v = field_V(ctx, x)
-            nv = float(np.linalg.norm(v))
-            if nv < TOL.refine_tol:
-                return x
-            h = 1e-6
-            jac = np.empty((2, 2))
-            for k in range(2):
-                e = np.zeros(2)
-                e[k] = h
-                jac[:, k] = (field_V(ctx, x + e) - field_V(ctx, x - e)) / (2 * h)
-            try:
-                step = np.linalg.solve(jac, -v)
-            except np.linalg.LinAlgError:
-                return None
-            lam = 1.0
-            while lam > 1e-6:
-                trial = x + lam * step
-                if float(np.linalg.norm(trial)) < 0.999 and float(
-                    np.linalg.norm(field_V(ctx, trial))
-                ) < nv:
-                    x = trial
-                    break
-                lam *= 0.5
-            else:
-                return None
-        return None
-
-    zeros: list[np.ndarray] = []
-    for i in range(resolution - 1):
-        for j in range(resolution - 1):
-            cell1 = V1[i : i + 2, j : j + 2].ravel()
-            cell2 = V2[i : i + 2, j : j + 2].ravel()
-            if np.any(np.isnan(cell1)):
-                continue
-            if np.min(cell1) < 0 < np.max(cell1) and np.min(cell2) < 0 < np.max(cell2):
-                seed = np.array([0.5 * (xs[i] + xs[i + 1]), 0.5 * (xs[j] + xs[j + 1])])
-                z = refine(seed)
-                if z is not None and all(
-                    float(np.linalg.norm(z - zz)) > 1e-6 for zz in zeros
-                ):
-                    zeros.append(z)
-    worst = max(
-        (float(np.linalg.norm(field_V(ctx, z))) for z in zeros), default=0.0
-    )
-    report = ScanReport(
-        kind=ScanKind.ZERO_SET_2D,
-        worst_case=worst,
-        samples=resolution * resolution,
-        passed=worst < TOL.refine_tol,
-        tolerance=TOL.refine_tol,
-        details=tuple(str(z.tolist()) for z in zeros),
-    )
-    return zeros, report

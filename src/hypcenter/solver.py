@@ -40,7 +40,7 @@ from scipy.linalg.lapack import dpotrs
 from scipy.stats import qmc
 
 from .errors import DivergentIterates, DomainError
-from .energy import EnergyContext, energy_and_field, energy_context
+from .energy import EnergyContext, _as_interior_coords, energy_and_field, energy_context
 from .geometry import (
     BallPoint,
     Locus,
@@ -195,7 +195,7 @@ def _auto_initial(ctx: EnergyContext) -> np.ndarray:
 def _initial_coords(ctx: EnergyContext, opts: SolveOptions) -> np.ndarray:
     if opts.initial is None:
         return _auto_initial(ctx)
-    return np.array(interior_point(opts.initial).coords)
+    return np.array(_as_interior_coords(ctx, interior_point(opts.initial)))
 
 
 def _cholesky(hess: np.ndarray) -> np.ndarray | None:
@@ -362,9 +362,10 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
     )
 
 
-def _multistart_points(ctx: EnergyContext, starts: int, seed: int = 0) -> list[np.ndarray]:
-    """Auto initial plus low-discrepancy points of hyperbolic radius <= 2."""
-    pts = [_auto_initial(ctx)]
+def _multistart_points(ctx: EnergyContext, opts: SolveOptions, starts: int,
+                       seed: int = 0) -> list[np.ndarray]:
+    """The single-start initial point plus low-discrepancy points of hyperbolic radius <= 2."""
+    pts = [_initial_coords(ctx, opts)]
     sampler = qmc.Halton(d=ctx.dimension, scramble=True, seed=seed)
     while len(pts) < starts + 1:
         for row in sampler.random(max(32, starts)):
@@ -388,7 +389,7 @@ def multistart_probe(
     """
     if starts < 2:
         raise DomainError("multistart needs at least 2 starts")
-    outcomes = _lockstep(ctx, replace(opts, multistart=1), _multistart_points(ctx, starts, seed))
+    outcomes = _lockstep(ctx, opts, _multistart_points(ctx, opts, starts, seed))
     runs = [r for r in outcomes if r is not None]
     converged = [r for r in runs if r.converged]
     if not converged:

@@ -191,7 +191,7 @@ def test_criterion_06_sphere_centering_normalization():
         ctx = en.energy_context(ident, mu)
         endpoints = []
         ok = True
-        for x0 in sv._multistart_points(ctx, 20):
+        for x0 in sv._multistart_points(ctx, opts, 20):
             result = sv.solve_center(ctx, sv.SolveOptions(
                 strategy=opts.strategy, initial=geo.point(x0)))
             if not result.converged:

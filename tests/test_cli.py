@@ -390,6 +390,42 @@ def test_solve_flags_only_on_solving_commands(tmp_path, command, flags):
     assert not (tmp_path / "out.json").exists()
 
 
+OK_ATOM = {"x": [0.1, 0.2], "w": 1.0}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"atoms": [OK_ATOM]}, 'input needs "dimension" and "atoms"'),
+    ({"dimension": 2}, 'input needs "dimension" and "atoms"'),
+    ({"dimension": 0, "atoms": [OK_ATOM]}, '"dimension" must be a positive integer'),
+    ({"dimension": True, "atoms": [OK_ATOM]}, '"dimension" must be a positive integer'),
+    ({"dimension": 2.0, "atoms": [OK_ATOM]}, '"dimension" must be a positive integer'),
+    ({"dimension": 2, "atoms": []}, '"atoms" must be a nonempty list'),
+    ({"dimension": 2, "atoms": {"x": [0.1, 0.2], "w": 1.0}}, '"atoms" must be a nonempty list'),
+    ({"dimension": 2, "atoms": [OK_ATOM, {"x": [0.1, 0.2]}]}, 'each atom needs "x" and "w"'),
+    ({"dimension": 2, "atoms": [{"w": 1.0}, OK_ATOM]}, 'each atom needs "x" and "w"'),
+    ({"dimension": 2, "atoms": [[0.1, 0.2]]}, 'each atom needs "x" and "w"'),
+    ({"dimension": 2, "atoms": [OK_ATOM, {"x": [0.1], "w": 1.0}]},
+     "atom coordinates must be lists of length 2"),
+    ({"dimension": 2, "atoms": [{"x": "ab", "w": 1.0}]},
+     "atom coordinates must be lists of length 2"),
+    # a missing key anywhere outranks a bad length before it or after it
+    ({"dimension": 2, "atoms": [{"x": [0.1], "w": 1.0}, {"x": [0.1, 0.2]}]},
+     'each atom needs "x" and "w"'),
+    ({"dimension": 2, "atoms": [{"w": 1.0}, {"x": [0.1, 0.2, 0.3], "w": 1.0}]},
+     'each atom needs "x" and "w"'),
+    ({"dimension": 2, "atoms": [{"x": [2.0, 0.0], "w": 1.0}]},
+     "|coords| = 2.0 lies outside the closed unit ball"),
+    ({"dimension": 2, "atoms": [{"x": ["a", 0.0], "w": 1.0}]},
+     "atom coordinates must be numbers"),
+    ({"dimension": 2, "atoms": [{"x": [0.1, 0.0], "w": "a"}]},
+     "atom weights must be finite numbers"),
+])
+def test_parse_measure_schema_messages(doc, message):
+    with pytest.raises(SchemaError) as info:
+        cli.parse_measure(doc)
+    assert str(info.value) == message
+
+
 def test_verify_subcommand(tmp_path):
     out = str(tmp_path / "verify.json")
     assert run(["verify", "--output", out, "--seed", "3"]) == 0

@@ -284,11 +284,28 @@ class TestInteriorKernelConvexity:
 
 
 class TestGradient:
+    """The euclidean gradient of the energy is V(x) / (1 - |x|^2)."""
+
+    @staticmethod
+    def _finite_differences(ctx, x, h=1e-6):
+        fd = np.zeros(ctx.dimension)
+        for j in range(ctx.dimension):
+            e = np.zeros(ctx.dimension)
+            e[j] = h
+            fd[j] = (
+                en.renormalized_energy(ctx, x + e)
+                - en.renormalized_energy(ctx, x - e)
+            ) / (2.0 * h)
+        return fd
+
     def test_equals_field_at_origin(self):
+        # the conformal factor is exactly 1 there, so the gradient is V itself
         ctx = mixed_context()
-        np.testing.assert_array_equal(
-            en.energy_gradient(ctx, [0.0, 0.0]), en.field_V(ctx, [0.0, 0.0])
-        )
+        x = np.zeros(2)
+        assert geo.one_minus_sq_norm(x) == 1.0
+        v = en.field_V(ctx, x)
+        err = float(np.linalg.norm(self._finite_differences(ctx, x) - v))
+        assert err < 1e-6 * max(float(np.linalg.norm(v)), 1e-8)
 
     @pytest.mark.parametrize(
         "make",
@@ -297,24 +314,16 @@ class TestGradient:
     )
     def test_matches_finite_differences(self, make):
         ctx = make()
-        h = 1e-6
         for _ in range(25):
             x = RNG.uniform(-0.5, 0.5, ctx.dimension)
-            grad = en.energy_gradient(ctx, x)
-            fd = np.zeros_like(grad)
-            for j in range(ctx.dimension):
-                e = np.zeros(ctx.dimension)
-                e[j] = h
-                fd[j] = (
-                    en.renormalized_energy(ctx, x + e)
-                    - en.renormalized_energy(ctx, x - e)
-                ) / (2.0 * h)
+            grad = en.field_V(ctx, x) / geo.one_minus_sq_norm(x)
+            fd = self._finite_differences(ctx, x)
             denom = max(float(np.linalg.norm(grad)), 1e-8)
             assert float(np.linalg.norm(fd - grad)) / denom < 1e-6
 
     def test_symmetric_context_critical_at_origin(self):
         ctx = sphere_triangle()
-        assert np.linalg.norm(en.energy_gradient(ctx, [0.0, 0.0])) < 1e-14
+        assert np.linalg.norm(en.field_V(ctx, [0.0, 0.0])) < 1e-14
 
 
 # one weight of each kind; the last four have g(1) > 0 and take sphere atoms

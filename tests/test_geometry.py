@@ -115,20 +115,20 @@ class TestMobius:
             geo.mobius([0.1], [0.1, 0.2])
 
     def test_inverse_examples(self):
-        out = geo.mobius_inverse([TANH(1.0)], [TANH(2.0)])
+        out = geo.mobius([-TANH(1.0)], [TANH(2.0)])
         assert out.coords[0] == pytest.approx(TANH(1.0), abs=1e-14)
 
     @given(ball_pair())
     def test_round_trip(self, pair):
         x, y = pair
-        back = geo.mobius(x, geo.mobius_inverse(x, y))
+        back = geo.mobius(x, geo.mobius(-x, y))
         assert np.linalg.norm(back.coords - y) < 1e-12
 
     def test_round_trip_bulk(self):
         for _ in range(1000):
             n = int(RNG.integers(1, 5))
             x, y = random_ball(n), random_ball(n)
-            back = geo.mobius_inverse(x, geo.mobius(x, y))
+            back = geo.mobius(-x, geo.mobius(x, y))
             assert np.linalg.norm(back.coords - y) < 1e-12
 
     def test_isometry_symmetry_bulk(self):
@@ -233,27 +233,6 @@ def test_mobius_batch_exact_at_the_antipode():
         assert abs(float((got - one_minus_r2) / one_minus_r2)) <= 1e-15
 
 
-class TestInverseExp:
-    def test_at_origin(self):
-        v = geo.inverse_exp([0.0, 0.0], [0.5, 0.0])
-        np.testing.assert_allclose(v, [math.atanh(0.5), 0.0], atol=1e-15)
-
-    def test_one_dim(self):
-        v = geo.inverse_exp([TANH(1.0)], [TANH(2.0)])
-        assert v[0] == pytest.approx(1.0, abs=1e-13)
-
-    def test_coincident_returns_zero(self):
-        v = geo.inverse_exp([0.2, 0.1], [0.2, 0.1])
-        assert np.all(v == 0.0)
-
-    def test_norm_matches_distance_bulk(self):
-        for _ in range(1000):
-            n = int(RNG.integers(1, 5))
-            x, y = random_ball(n), random_ball(n)
-            v = geo.inverse_exp(x, y)
-            assert abs(np.linalg.norm(v) - geo.hyp_distance(x, y)) < 1e-12
-
-
 class TestGeodesics:
     def test_chart_base(self):
         g = geo.geodesic([0.3, 0.0], [0.0, 1.0])
@@ -328,19 +307,8 @@ class TestHalfspace:
         for _ in range(100):
             w = np.array([0.0, RNG.uniform(-0.9, 0.9)])
             y = geo.mobius([0.3, 0.0], w)
-            v = geo.mobius_inverse([0.3, 0.0], y).coords
+            v = geo.mobius([-0.3, 0.0], y).coords
             assert abs(float(v @ h.p)) < 1e-12
-
-    def test_reflect_euclidean_at_t0(self):
-        h = geo.halfspace([1.0, 0.0], 0.0)
-        out = geo.reflect(h, [0.4, 0.1])
-        np.testing.assert_allclose(out.coords, [-0.4, 0.1], atol=1e-15)
-
-    def test_reflect_fixes_wall(self):
-        h = geo.halfspace([1.0, 0.0], 0.3)
-        y = geo.mobius([0.3, 0.0], [0.0, 0.5])
-        out = geo.reflect(h, y)
-        assert np.linalg.norm(out.coords - y.coords) < 1e-12
 
     def test_fold_euclidean(self):
         h = geo.halfspace([1.0, 0.0], 0.0)
@@ -348,16 +316,6 @@ class TestHalfspace:
         np.testing.assert_allclose(out.coords, [-0.4, 0.1], atol=1e-15)
         out = geo.fold(h, [-0.4, 0.1])
         np.testing.assert_allclose(out.coords, [-0.4, 0.1], atol=1e-15)
-
-    def test_involution_bulk(self):
-        for _ in range(1000):
-            n = int(RNG.integers(2, 4))
-            p = RNG.normal(size=n)
-            p /= np.linalg.norm(p)
-            h = geo.halfspace(p, RNG.uniform(-0.8, 0.8))
-            y = random_ball(n)
-            twice = geo.reflect(h, geo.reflect(h, y))
-            assert np.linalg.norm(twice.coords - y) < 1e-12
 
     def test_fold_image_contained_bulk(self):
         for _ in range(1000):
@@ -641,13 +599,10 @@ def geometry_record(n):
     out = {}
     for name, f, args in [
         ("mobius", geo.mobius, [(x, y) for x in inner for y in ys]),
-        ("mobius_inverse", geo.mobius_inverse, [(x, y) for x in inner for y in ys]),
         ("hyp_distance", geo.hyp_distance, [(x, y) for x in inner for y in inner]),
-        ("inverse_exp", geo.inverse_exp, [(x, y) for x in inner for y in inner]),
         ("geodesic_point", geo.geodesic_point, [
             (geo.geodesic(b, unit()), t) for b in inner[:4] for t in CHART_TS
         ]),
-        ("reflect", geo.reflect, [(h, y) for h in halfspaces for y in inner]),
         ("fold", geo.fold, [(h, y) for h in halfspaces for y in inner]),
         ("halfspace_contains", geo.halfspace_contains,
          [(h, y) for h in halfspaces for y in inner]),

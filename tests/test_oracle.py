@@ -92,15 +92,6 @@ class TestZeroScans:
         zeros = orc.brute_force_zeros_along_line(signed_circle_ctx(), [1.0, 0.0])
         assert len(zeros.points) >= 2
 
-    def test_signed_circle_2d_scan(self):
-        zeros, report = orc.brute_force_zeros_2d(
-            signed_circle_ctx(), resolution=100, span=2.5
-        )
-        assert report.passed
-        assert len(zeros) >= 2
-        for z in zeros:
-            assert abs(z[1]) < 1e-6  # zeros sit on the symmetry axis
-
 
 class TestSolverAgreement:
     """Every 1-d fixture's solved center lies in a brute-force zero bracket."""

@@ -13,7 +13,7 @@ from hypcenter import geometry as geo
 from hypcenter import measures as ms
 from hypcenter import solver as sv
 from hypcenter import weights as wt
-from hypcenter.errors import DivergentIterates, DomainError
+from hypcenter.errors import DimensionMismatch, DivergentIterates, DomainError
 
 TANH = math.tanh
 RNG = np.random.default_rng(5150)
@@ -195,6 +195,23 @@ class TestMultistart:
         ctx = en.energy_context(wt.min_r_arctanh_inv(), mu)
         result = sv.solve_center(ctx, sv.SolveOptions(multistart=12))
         assert result.uniqueness.kind is sv.UniquenessKind.AMBIGUOUS
+
+    def test_initial_is_the_first_start(self):
+        # every point of the plateau is a center, so the start at 0.3 stays
+        # there as its own cluster; the auto initial would start at 0
+        mu = ms.atomic_measure([([-0.8], 1.0), ([0.8], 1.0)])
+        ctx = en.energy_context(wt.clamped_linear(0.5), mu)
+        for result in (sv.solve_center(ctx, sv.SolveOptions(initial=[0.3], multistart=3)),
+                       sv.multistart_probe(ctx, sv.SolveOptions(initial=[0.3]), starts=3)):
+            assert [0.3] in [r.coords.tolist() for r in result.uniqueness.representatives]
+
+    @pytest.mark.parametrize("multistart", [1, 3])
+    def test_initial_of_another_dimension_rejected(self, multistart):
+        ctx = en.energy_context(
+            wt.identity(), ms.atomic_measure([([0.2, 0.1], 1.0), ([-0.3, 0.2], 1.0)]))
+        opts = sv.SolveOptions(initial=[0.1, 0.1, 0.1], multistart=multistart)
+        with pytest.raises(DimensionMismatch, match=r"shape \(3,\), measure dimension 2"):
+            sv.solve_center(ctx, opts)
 
 
 class TestContinuityProbe:
@@ -572,7 +589,7 @@ class TestLockstep:
         # most signed_circle starts stall until max_iters, with long backtracks
         ctx = lockstep_contexts()[name]
         opts = sv.SolveOptions(strategy=strategy, max_iters=40)
-        starts = sv._multistart_points(ctx, 12)
+        starts = sv._multistart_points(ctx, opts, 12)
         outcomes = sv._lockstep(ctx, opts, starts)
         singles = [solve_or_none(ctx, replace(opts, initial=x0)) for x0 in starts]
         if name == "signed_circle":
@@ -586,8 +603,8 @@ class TestLockstep:
 
     def test_every_start_diverging_raises(self):
         ctx = fx.signed_no_zero_context()
-        assert sv._lockstep(ctx, sv.SolveOptions(), sv._multistart_points(ctx, 4)) == [
-            None] * 5
+        opts = sv.SolveOptions()
+        assert sv._lockstep(ctx, opts, sv._multistart_points(ctx, opts, 4)) == [None] * 5
         with pytest.raises(DivergentIterates):
             sv.multistart_probe(ctx, sv.SolveOptions(), starts=4)
 
@@ -603,7 +620,7 @@ class TestLockstep:
             return original(x, *rows)
 
         monkeypatch.setattr(en, "mobius_batch", counting)
-        for x0 in sv._multistart_points(ctx, 8):
+        for x0 in sv._multistart_points(ctx, opts, 8):
             sv.solve_center(ctx, replace(opts, initial=x0))
         evaluations = len(calls)
         calls.clear()
@@ -618,9 +635,10 @@ class TestLockstep:
             wt.min_r_arctanh_inv(),
             ms.atomic_measure([([TANH(2.0)], 1.0), ([-TANH(2.0)], 1.0)]),
         )
-        result = sv.multistart_probe(ctx, sv.SolveOptions(), starts=12)
+        opts = sv.SolveOptions()
+        result = sv.multistart_probe(ctx, opts, starts=12)
         runs = [r for r in sv._lockstep(
-            ctx, sv.SolveOptions(), sv._multistart_points(ctx, 12)) if r.converged]
+            ctx, opts, sv._multistart_points(ctx, opts, 12)) if r.converged]
         heads = []
         for run in sorted(runs, key=lambda r: tuple(r.x_c.coords)):
             if not any(geo.hyp_distance(h[0].x_c, run.x_c) <= sv.CLUSTER_TOL for h in heads):
