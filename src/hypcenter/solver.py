@@ -6,12 +6,13 @@ current point.  Where that Hessian has a Cholesky factor the step descends
 (1/2)|grad E|^2 (Dennis and Schnabel, 1983, ch. 6), so the trial is accepted
 on one rule: the euclidean gradient norm |V|/(1 - |x|^2) falls.  That norm is
 a sum without cancellation; the summed energy is not.  Without a factor, or
-on a rejected trial, one descent step follows: along the exact geodesic
-x <- T_x(-tanh(tau) V/|V|), where the energy's directional derivative is
--|V|, an Armijo-backtracked arclength step with E_new <= E - c1 tau |V|, or
-with a decrease of |V| where the energy change is below its rounding.  Each
-trial point costs one energy_and_field pass; an accepted point keeps its
-field and the means to assemble its Hessian from that pass.
+on a rejected trial, one descent step follows along the exact geodesic
+x <- T_x(-tanh(tau) d), d = -V/|V|, where E has derivatives -|V| and
+c = (1 - |x|^2)^2 d.H.d - 2 x.V: Armijo backtracking from the 1-d Newton step
+tau = min(1, |V|/c) (from 1 where c is not finite and positive) to
+E_new <= E - c1 tau |V|, or to a decrease of |V| where the energy change is
+below its rounding.  Each trial point costs one energy_and_field pass; an
+accepted point keeps its field and its Hessian from that pass.
 
 These rules are written once, as a coroutine (_solve_steps) that yields each
 point it needs evaluated and each Newton model it needs solved.  A single
@@ -276,13 +277,13 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
     trace: list[tuple[float, float]] = [(e_x, res)]
 
     iters = 0
-    gain = 1.0  # adaptive multiple of the gradient-scaled step
     converged = res <= opts.tol_residual
     while not converged and iters < opts.max_iters:
         iters += 1
+        hess = hessian()
         moved = False
         if opts.strategy is Strategy.NEWTON_ACCELERATED:
-            trial = yield _NEWTON, (x, v, omx, hessian())
+            trial = yield _NEWTON, (x, v, omx, hess)
             if trial is not None:
                 e_t, v_t, h_t, omx_t = yield _EVALUATE, trial
                 vnorm_t = float(np.linalg.norm(v_t))
@@ -295,37 +296,21 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
             # accepted on a decrease of |V| instead
             slack = 1e-15 * (1.0 + abs(e_x))
             direction = -v / vnorm
-            # step proportional to |V|/total, with a gain that doubles on
-            # clean acceptance and shrinks with backtracks: the bare rule
-            # contracts like (1 - curvature/total) and stalls past the
-            # iteration budget on ill-conditioned measures
-            tau0 = min(1.0, gain * vnorm / scale)
-            tau = tau0
+            # the Riemannian Hessian on the direction: the euclidean one less
+            # its conformal term 2 x.V / (1 - |x|^2)^2
+            with np.errstate(invalid="ignore"):
+                curv = omx * omx * float(direction @ hess @ direction) - 2.0 * float(x @ v)
+            tau = min(1.0, vnorm / curv) if 0.0 < curv < math.inf else 1.0
             while tau > 1e-15:
                 x_t = translate_coords(x, math.tanh(tau) * direction)
                 e_t, v_t, h_t, omx_t = yield _EVALUATE, x_t
-                armijo = e_t <= e_x - ARMIJO_DECREASE * tau * vnorm
-                if armijo or (
+                if e_t <= e_x - ARMIJO_DECREASE * tau * vnorm or (
                     e_t <= e_x + slack and float(np.linalg.norm(v_t)) < vnorm
                 ):
                     break
                 tau *= ARMIJO_BACKTRACK
             else:
                 break  # stationary to machine precision
-            gain_eff = gain * (tau / tau0)
-            if armijo:
-                # decrease ratio against the linear model: near 1 means the
-                # step is far below the curvature scale (grow the gain), small
-                # means overshoot past the valley floor (shrink it)
-                ratio = (e_x - e_t) / (tau * vnorm)
-                if ratio >= 0.7:
-                    gain = max(1.0, 2.0 * gain_eff)
-                elif ratio >= 0.3:
-                    gain = max(1.0, gain_eff)
-                else:
-                    gain = max(1.0, 0.5 * gain_eff)
-            else:
-                gain = max(1.0, gain_eff)
             x, e_x, v, hessian, omx = x_t, e_t, v_t, h_t, omx_t
             vnorm = float(np.linalg.norm(v))
         res = vnorm / scale

@@ -201,6 +201,13 @@ class TestCenter:
         assert report["converged"] is True
         assert report["residual"] < 1e-11
 
+    def test_descent_strategy_converges(self, tmp_path):
+        # descent reaches the default tolerance on the 200-atom golden job
+        out = tmp_path / "report.json"
+        assert run(["center", "-i", str(GOLDEN / "center_200_3d.json"), "-o", str(out),
+                    "--strategy", "descent"]) == 0
+        assert json.loads(out.read_text())["converged"] is True
+
     def test_reports_bit_identical(self, tmp_path):
         job = write_job(tmp_path, SPHERE3)
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -17,7 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("random_sphere_centering_study.py", ["--cases", "2"]),
         ("fold_continuity_sweep.py", ["--atoms", "50"]),
         ("reproduce_counterexamples.py", []),
     ],

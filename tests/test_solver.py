@@ -121,6 +121,22 @@ class TestSolveCenter:
             else:
                 assert eb <= ea + 1e-14 * (1.0 + abs(ea))
 
+    @pytest.mark.parametrize("strategy", ["descent", "newton"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_sphere_study(self, seed, strategy):
+        # criterion 6's measure family (dimensions 2-4, 3-50 atoms, no atom
+        # above 40 % of the mass): every solve converges and the pushed
+        # measure is balanced
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n, count = int(rng.integers(2, 5)), int(rng.integers(3, 51))
+            mu = sphere_measure(n, count, rng)
+            result = sv.solve_center(en.energy_context(wt.identity(), mu),
+                                     sv.SolveOptions(strategy=strategy))
+            assert result.converged
+            pushed = ms.pushforward(mu, geo.mobius_map(result.x_c))
+            assert np.linalg.norm(pushed.weights @ pushed.locations) / mu.total <= 1e-9
+
     def test_newton_matches_descent(self):
         mu = sphere_measure(2, 9, np.random.default_rng(9))
         ctx = en.energy_context(wt.identity(), mu)
@@ -458,6 +474,35 @@ class TestNewtonAcceptance:
         assert not np.array_equal(point, trial)
 
 
+class TestDescentStep:
+    """The descent line search starts at the 1-d Newton step along the
+    geodesic, tau = |V| / c capped at 1, with c the Riemannian Hessian on the
+    direction; at the origin c = d.H.d.  _solve_steps is driven by hand."""
+
+    V0 = np.array([2.0, 0.0])
+
+    def first_point(self, hess):
+        ctx = en.energy_context(wt.identity(), interior_measure(2, 5, 0))
+        steps = sv._solve_steps(ctx, DESCENT, np.zeros(2))
+        assert next(steps)[0] is sv._EVALUATE
+        kind, point = steps.send((1.0, self.V0, lambda: hess, 1.0))
+        assert kind is sv._EVALUATE
+        return point
+
+    def test_newton_step_along_the_geodesic(self):
+        # c = 4, so tau = |V| / c = 0.5
+        assert np.array_equal(self.first_point(4.0 * np.eye(2)), [-TANH(0.5), 0.0])
+
+    @pytest.mark.parametrize(
+        "hess", [-np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]])],
+        ids=["negative", "infinite"],
+    )
+    def test_unit_step_without_finite_positive_curvature(self, hess):
+        # c = -1 or c = inf: the cap tau = 1, where |V| / inf would stop the
+        # solve as stationary
+        assert np.array_equal(self.first_point(hess), [-TANH(1.0), 0.0])
+
+
 GOLDEN =Path(__file__).parent / "golden" / "solver_traces.json"
 NEWTON = sv.SolveOptions(strategy=sv.Strategy.NEWTON_ACCELERATED)
 DESCENT = sv.SolveOptions(strategy=sv.Strategy.GEODESIC_DESCENT)
@@ -507,8 +552,9 @@ class TestSolveGolden:
         # dot and sphere rows kept their own |y|^2, and newton_interior_3d
         # when the Newton model took the closed-form Hessian and again when
         # its trials were accepted on |V| below the energy's resolution; all
-        # four when the kernel took the sum form.  Each solve takes the
-        # branches named in golden_solves
+        # four when the kernel took the sum form, and the three descent
+        # solves when the line search started at the 1-d Newton step.  Each
+        # solve takes the branches named in golden_solves
         ctx, opts = golden_solves()[name]
         expected = json.loads(GOLDEN.read_text())[name]
         assert solve_record(sv.solve_center(ctx, opts)) == expected
