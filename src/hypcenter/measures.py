@@ -10,15 +10,14 @@ quantization is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 from .errors import (
     DimensionMismatch,
@@ -196,19 +195,35 @@ class ValidationReport:
     signed: bool
 
 
+def _close_pairs(locs: np.ndarray, tol: float) -> np.ndarray:
+    """Index pairs (2, k), i < j, of rows within tol along the widest
+    coordinate: one stable sort along it, then a sweep over sorted neighbours
+    at gap 1, 2, ... while any stay within tol.  A superset of the pairs
+    within euclidean distance tol."""
+    axis = np.argmax(np.ptp(locs, axis=0))
+    order = np.argsort(locs[:, axis], kind="stable")
+    keys, pairs = locs[order, axis], [np.empty((2, 0), dtype=np.intp)]
+    for gap in range(1, len(keys)):
+        near = np.flatnonzero(keys[gap:] - keys[:-gap] <= tol)
+        if not near.size:
+            break
+        pairs.append(np.sort([order[near], order[near + gap]], axis=0))
+    return np.concatenate(pairs, axis=1)
+
+
 def _aggregate(measure: AtomicMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge atoms co-located within CO_LOCATION_TOL.
 
     Greedy in index order: each unmerged atom absorbs every later unmerged
-    atom within CO_LOCATION_TOL (k-d tree candidates, exact distance test)
-    whose exact 1 - |y|^2, where carried, agrees to relative CO_LOCATION_TOL.
-    Returns (locations, weights, is_boundary) of the aggregated atoms; the
-    result is invariant under permutation and under splitting an atom into
-    co-located halves.
+    atom within CO_LOCATION_TOL (sort-and-sweep candidates, exact distance
+    test) whose exact 1 - |y|^2, where carried, agrees to relative
+    CO_LOCATION_TOL.  Returns (locations, weights, is_boundary) of the
+    aggregated atoms; the result is invariant under permutation and under
+    splitting an atom into co-located halves.
     """
     locs = measure.locations
     omy = measure.one_minus_sq
-    i, j = cKDTree(locs).query_pairs(2.0 * CO_LOCATION_TOL, output_type="ndarray").T
+    i, j = _close_pairs(locs, 2.0 * CO_LOCATION_TOL)
     close = np.linalg.norm(locs[i] - locs[j], axis=1) <= CO_LOCATION_TOL
     if omy is not None:
         close &= np.abs(omy[i] - omy[j]) <= CO_LOCATION_TOL * np.maximum(omy[i], omy[j])
@@ -333,6 +348,38 @@ def ball_region(center: Sequence[float], radius: float) -> BallRegion:
     return region
 
 
+@cache
+def _halton_perms(dimension: int, seed: int) -> tuple[np.ndarray, ...]:
+    """ceil(54 / log2 b) - 1 digit permutations of arange(b) per coordinate,
+    for the first `dimension` primes b, shuffled in turn by default_rng(seed)."""
+    primes = [k for k in range(2, 16 * dimension + 16)
+              if all(k % p for p in range(2, math.isqrt(k) + 1))]
+    tables = [np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+              for b in primes[:dimension]]
+    rng = np.random.default_rng(seed)
+    for perm in itertools.chain(*tables):
+        rng.shuffle(perm)
+    for perms in tables:  # shared by every caller through the cache
+        perms.flags.writeable = False
+    return tuple(tables)
+
+
+def _halton(dimension: int, seed: int, batch: int) -> Iterator[np.ndarray]:
+    """Consecutive batches of the draws of scipy.stats.qmc.Halton(dimension,
+    scramble=True, seed=seed), bit for bit: digit k of an index in base b adds
+    perm_k[digit] b^-(k+1), with b^-(k+1) by repeated division (powers of 1/b
+    are 1 ulp off), and the terms are summed in digit order."""
+    tables = _halton_perms(dimension, seed)
+    for start in itertools.count(0, batch):
+        idx, cols = np.arange(start, start + batch)[:, None], []
+        for perms in tables:
+            digits, b = perms.shape
+            scales = np.divide.accumulate(np.r_[1.0, np.full(digits, b)])[1:]
+            terms = perms[np.arange(digits), idx // b ** np.arange(digits) % b] * scales
+            cols.append(np.cumsum(terms, axis=1)[:, -1])
+        yield np.stack(cols, axis=1)
+
+
 def quantize_density(
     f: Callable[[np.ndarray], float],
     region: BallRegion,
@@ -350,15 +397,14 @@ def quantize_density(
         raise DimensionMismatch("region and requested dimension differ")
     if count < 1:
         raise DomainError("count must be >= 1")
-    sampler = qmc.Halton(d=dimension, scramble=True, seed=seed)
-    lo = region.center - region.radius
-    span = 2.0 * region.radius
     samples = np.empty((0, dimension))
-    while len(samples) < count:
-        ys = lo + span * sampler.random(max(64, count))
+    for rows in _halton(dimension, seed, max(64, count)):
+        ys = (region.center - region.radius) + 2.0 * region.radius * rows
         d = ys - region.center  # per-row dot products: np.linalg.norm per point
         inside = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) <= region.radius
         samples = np.concatenate([samples, ys[inside]])
+        if len(samples) >= count:
+            break
     samples = samples[:count]
     fs = [float(f(y)) for y in samples]
     if min(fs) < 0.0:

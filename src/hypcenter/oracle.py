@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .energy import (
     EnergyContext,
@@ -393,6 +392,7 @@ def distance_convexity_check(samples: int = 40, seed: int = 0) -> ScanReport:
 def _quad_G(weight: RadialWeight, s: float) -> float:
     """G(tanh s) = int_0^s g(tanh u) du by adaptive quadrature in arclength,
     which removes the 1/(1 - r^2) blow-up; kinks of g are breakpoints."""
+    from scipy.integrate import quad  # only this check needs scipy
     p = weight.params
     kinks = [1.0] if weight.kind == "min_r_arctanh_inv" else []
     kinks += [row[0] for row in p.get("pieces", ())]  # clamped_arctanh, in s

@@ -18,9 +18,10 @@ These rules are written once, as a coroutine (_solve_steps) that yields each
 point it needs evaluated and each Newton model it needs solved.  A single
 start answers them one at a time.  multistart_probe runs every start in
 lockstep: one round answers all pending Newton models with one stacked
-Cholesky and then all pending points with one energy_and_field pass over the
-block.  Each batched operation is batch-invariant, so every start's result
-equals its single-start solve bit for bit.
+Cholesky and one stacked solve, and then all pending points with one
+energy_and_field pass over the block.  Each batched operation is
+batch-invariant, so every start's result equals its single-start solve bit
+for bit.
 
 Non-convergence is a result state (converged=False), with one exception:
 iterates escaping to the boundary without residual decrease raise
@@ -37,8 +38,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
-from scipy.stats import qmc
 
 from .errors import DivergentIterates, DomainError
 from .energy import EnergyContext, _as_interior_coords, energy_and_field, energy_context
@@ -50,7 +49,7 @@ from .geometry import (
     interior_point,
     translate_coords,
 )
-from .measures import CO_LOCATION_TOL, AtomicMeasure, GeodesicSupport, Support
+from .measures import CO_LOCATION_TOL, AtomicMeasure, GeodesicSupport, Support, _halton
 from .weights import Monotonicity
 
 ARMIJO_DECREASE = 1e-4
@@ -199,34 +198,39 @@ def _initial_coords(ctx: EnergyContext, opts: SolveOptions) -> np.ndarray:
     return np.array(_as_interior_coords(ctx, interior_point(opts.initial)))
 
 
-def _cholesky(hess: np.ndarray) -> np.ndarray | None:
+def _positive_definite(hess: np.ndarray) -> bool:
     try:
-        return np.linalg.cholesky(hess)
+        np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
-        return None
+        return False
+    return True
 
 
 def _newton_steps(models: list[tuple]) -> list[np.ndarray | None]:
-    """_newton_step for each (x, V, 1 - |x|^2, H) model, with one Cholesky over
-    the stack of the finite Hessians (per matrix when one of them is not
-    positive definite)."""
-    finite = [i for i, (*_, hess) in enumerate(models) if np.isfinite(hess).all()]
-    stack = np.array([models[i][-1] for i in finite])
+    """_newton_step for each (x, V, 1 - |x|^2, H) model whose Hessian is
+    finite and positive definite: one Cholesky over the stack of the finite
+    Hessians tests definiteness (per matrix when one of them fails), and one
+    solve over the stack of the definite ones gives the directions."""
+    definite = [i for i, (*_, hess) in enumerate(models) if np.isfinite(hess).all()]
+    stack = np.array([models[i][-1] for i in definite])
     try:
-        lows = np.linalg.cholesky(stack) if finite else []
-    except np.linalg.LinAlgError:
-        lows = [_cholesky(h) for h in stack]
+        if definite:
+            np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:  # keep the matrices that have a factor
+        definite = [i for i in definite if _positive_definite(models[i][-1])]
+        stack = np.array([models[i][-1] for i in definite])
     steps = [None] * len(models)
-    for i, low in zip(finite, lows):
-        if low is not None:
-            steps[i] = _newton_step(*models[i][:-1], low)
+    if definite:
+        rhs = np.array([models[i][1] / models[i][2] for i in definite])
+        deltas = -np.linalg.solve(stack, rhs[..., None])[..., 0]
+        for i, delta in zip(definite, deltas):
+            steps[i] = _newton_step(models[i][0], delta, models[i][2])
     return steps
 
 
-def _newton_step(x: np.ndarray, v: np.ndarray, omx: float, low: np.ndarray) -> np.ndarray | None:
-    """Trust-region Newton trial point from the Hessian's Cholesky factor, or
+def _newton_step(x: np.ndarray, delta: np.ndarray, omx: float) -> np.ndarray | None:
+    """Trust-region Newton trial point from the Newton direction delta, or
     None when the trial would leave the ball; omx is 1 - |x|^2."""
-    delta = -dpotrs(low, v / omx, lower=1)[0]
     # keep the trial inside the ball with margin
     trust = 0.5 * omx
     nd = float(np.linalg.norm(delta))
@@ -311,6 +315,8 @@ def _solve_steps(ctx: EnergyContext, opts: SolveOptions, x: np.ndarray):
                 tau *= ARMIJO_BACKTRACK
             else:
                 break  # stationary to machine precision
+            if np.array_equal(x_t, x):
+                break  # a fixed point: every later iteration would repeat this one
             x, e_x, v, hessian, omx = x_t, e_t, v_t, h_t, omx_t
             vnorm = float(np.linalg.norm(v))
         res = vnorm / scale
@@ -351,15 +357,11 @@ def _multistart_points(ctx: EnergyContext, opts: SolveOptions, starts: int,
                        seed: int = 0) -> list[np.ndarray]:
     """The single-start initial point plus low-discrepancy points of hyperbolic radius <= 2."""
     pts = [_initial_coords(ctx, opts)]
-    sampler = qmc.Halton(d=ctx.dimension, scramble=True, seed=seed)
-    while len(pts) < starts + 1:
-        for row in sampler.random(max(32, starts)):
-            y = MULTISTART_RADIUS * (2.0 * row - 1.0)
-            if float(np.linalg.norm(y)) <= MULTISTART_RADIUS:
-                pts.append(y)
-                if len(pts) == starts + 1:
-                    break
-    return pts
+    for rows in _halton(ctx.dimension, seed, max(32, starts)):
+        ys = MULTISTART_RADIUS * (2.0 * rows - 1.0)
+        pts += [y for y in ys if float(np.linalg.norm(y)) <= MULTISTART_RADIUS]
+        if len(pts) > starts:
+            return pts[: starts + 1]
 
 
 def multistart_probe(

@@ -23,8 +23,6 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import exp1
 
 from .errors import (
     DomainError,
@@ -40,7 +38,7 @@ _CHECK_GRID = 10_000
 # [log L(1), log 42] (the rest of the tail is 1.3e-20); their errors, checked
 # at 40 digits, are below 2e-28 and 2e-20.
 _LN2 = math.log(2.0)
-_E1_LN2_SUM = math.fsum(exp1(np.arange(1, 64) * _LN2).tolist())
+_E1_LN2_SUM = 0.5714987436524647  # math.fsum of E1(k ln 2), k = 1..63
 _TAIL_VMAX = math.log(42.0)
 
 
@@ -173,7 +171,7 @@ def _log_damped_G(s):
     return out
 
 
-def _table_pieces(interp: PchipInterpolator) -> np.ndarray:
+def _table_pieces(interp) -> np.ndarray:
     """Per-piece rows (knot r0, arctanh r0, G(r0), alpha, beta, p(1), b): with
     x = t - r0 the cubic p divides as (alpha + beta x)(1 - t^2) + a + b t, so
     G(r) - G(r0) = x (alpha + beta x/2) + p(1) (s - s0) - b log1p(x/(1 + r0))."""
@@ -443,6 +441,7 @@ def table(
         raise InvalidWeight("table must start at (0, 0)")
     if np.any(np.diff(rs) <= 0.0) or rs[-1] > 1.0:
         raise InvalidWeight("table radii must increase within [0, 1]")
+    from scipy.interpolate import PchipInterpolator  # only this weight kind needs scipy
     interp = PchipInterpolator(rs, gs)
     pieces = _table_pieces(interp)
     rmax = float(rs[-1])

@@ -230,7 +230,9 @@ class TestCenter:
         # dot: every energy evaluation moved at the last bit; the newton
         # report again when the Newton model took the closed-form Hessian,
         # all three when the kernel took the sum form, and the two default-
-        # strategy reports when Newton became the default
+        # strategy reports when Newton became the default; the fold report
+        # when the Newton direction came from numpy's LU solve in place of
+        # LAPACK's Cholesky solve (dpotrs), at rounding level
         out = tmp_path / "report.json"
         assert run([command, "-i", str(GOLDEN / job), "-o", str(out), *flags]) == 0
         assert out.read_bytes() == (GOLDEN / report).read_bytes()

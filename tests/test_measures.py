@@ -440,6 +440,82 @@ class TestAggregate:
             np.testing.assert_array_equal(a, b)
 
 
+def _brute_force_pairs(locs, tol):
+    m = len(locs)
+    return {(i, j) for i in range(m) for j in range(i + 1, m)
+            if np.linalg.norm(locs[i] - locs[j]) <= tol}
+
+
+def _close_pair_set(locs, tol):
+    i, j = ms._close_pairs(locs, 2.0 * tol)
+    assert np.all(i < j)
+    close = np.linalg.norm(locs[i] - locs[j], axis=1) <= tol
+    return set(zip(i[close].tolist(), j[close].tolist()))
+
+
+class TestClosePairs:
+    """The sort-and-sweep candidates with the exact distance test find the
+    pairs a brute-force O(m^2) scan finds."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(3)
+        base = rng.uniform(-0.5, 0.5, (40, 3))
+        # narrower than 2e-12 along the widest axis, spread in the others
+        narrow = np.column_stack([
+            0.3 + rng.uniform(0.0, 1.5e-12, 30),
+            rng.uniform(-0.1, 0.1, 30),
+            rng.uniform(-1e-12, 1e-12, 30),
+        ])
+        narrow[20:, 1] = 0.0  # these 10 rows lie within about 2e-12 of each other
+        chain = 0.2 + np.outer(np.arange(6) * 0.6e-12, [1.0, 0.0])
+        return {
+            "one_atom": np.array([[0.1, 0.2]]),
+            "duplicates": np.repeat([[0.1, -0.2, 0.3]], 5, axis=0),
+            "far_apart": np.array([[-0.9, 0.0], [0.0, 0.0], [0.9, 0.0]]),
+            "random": base,
+            "narrow_cluster": np.concatenate([narrow, base * [2.0, 1.0, 1.0]]),
+            "chain": np.concatenate([chain, rng.uniform(-0.5, 0.5, (10, 2))]),
+            "near_pairs": np.concatenate(
+                [base, base + rng.uniform(-1.0, 1.0, base.shape) * 0.6e-12]),
+        }
+
+    @pytest.mark.parametrize("name", sorted(cases()))
+    def test_matches_brute_force(self, name):
+        locs = self.cases()[name]
+        want = _brute_force_pairs(locs, ms.CO_LOCATION_TOL)
+        assert _close_pair_set(locs, ms.CO_LOCATION_TOL) == want
+        assert _close_pair_set(locs[::-1].copy(), ms.CO_LOCATION_TOL) == {
+            (len(locs) - 1 - j, len(locs) - 1 - i) for i, j in want}
+
+    def test_co_location_fixtures(self):
+        far = {"dir": [1.0], "s": 16.0}
+        y = [0.6, 0.8]
+        for atoms in (
+            [(far, 1.0), ([0.5], 1.0), (far, 2.0)],
+            [({"dir": [1.0], "s": 16.0}, 1.0), ({"dir": [1.0], "s": 17.0}, 1.0)],
+            [(y, 0.3), (y, 0.3), ([0.0, 0.1], 0.4)],
+            [([math.cos(a), math.sin(a)], 1.0) for a in (0.0, 1e-8, 2e-8)],
+        ):
+            locs = ms.atomic_measure(atoms).locations
+            want = _brute_force_pairs(locs, ms.CO_LOCATION_TOL)
+            assert _close_pair_set(locs, ms.CO_LOCATION_TOL) == want
+
+
+class TestHalton:
+    @pytest.mark.parametrize("dimension", range(1, 7))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_equals_scipy_bit_for_bit(self, dimension, seed):
+        # the numpy port against the scipy sampler it replaces, over two
+        # consecutive draws
+        from scipy.stats import qmc
+
+        sampler = qmc.Halton(d=dimension, scramble=True, seed=seed)
+        batches = ms._halton(dimension, seed, 64)
+        for _ in range(2):
+            assert next(batches).tobytes() == sampler.random(64).tobytes()
+
+
 def _ball_points(measure):
     """The atoms as single points with their recorded loci, never re-snapped."""
     loci = [geo.Locus.BOUNDARY if b else geo.Locus.INTERIOR

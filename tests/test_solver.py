@@ -176,6 +176,33 @@ class TestSolveCenter:
             assert result.converged
             assert result.x_c.coords[0] == pytest.approx(-TANH(float(k)), abs=1e-9)
 
+    @pytest.mark.parametrize("name, strategy, x_c, residual", [
+        ("far_polar", "descent", ["-0x1.fffffffe0de75p-1", "0x0.0p+0"],
+         "0x1.68620cfaaaaabp-25"),
+        ("far_polar", "newton", ["-0x1.fffffffe0de75p-1", "0x0.0p+0"],
+         "0x1.68620cfaaaaabp-25"),
+        ("prefix", "descent", ["-0x1.ffffffb59be66p-1", "-0x1.5798ee0def2ebp-28"],
+         "0x1.c0f9e30000000p-29"),
+        ("prefix", "newton", ["-0x1.ffffffb59be67p-1", "-0x1.5798ee0def2ecp-28"],
+         "0x1.affd8f8000000p-29"),
+    ])
+    def test_fixed_point_stops_the_solve(self, name, strategy, x_c, residual):
+        # centers at the float floor: the solve first reaches its end point
+        # at iteration 16-18 (far polar) or 33 (prefix), after which descent
+        # accepts only the null step x_t = x.  It stops there, with the x_c
+        # and residual of a solve that runs all 500 iterations
+        atoms = {
+            "far_polar": [([0, 0], 1), ({"dir": [1, 0], "s": 12}, 2)],
+            "prefix": [([1.0, 0.0], 1), ([math.cos(1e-8), math.sin(1e-8)], 1),
+                       ([-0.6, 0.8], 1)],
+        }[name]
+        ctx = en.energy_context(wt.identity(), ms.atomic_measure(atoms))
+        result = sv.solve_center(ctx, sv.SolveOptions(strategy=strategy))
+        assert not result.converged
+        assert result.iterations <= 40
+        assert result.x_c.coords.tolist() == [float.fromhex(c) for c in x_c]
+        assert result.residual == float.fromhex(residual)
+
 
 class TestMultistart:
     def test_dip_weight_ambiguous(self):
@@ -553,8 +580,10 @@ class TestSolveGolden:
         # when the Newton model took the closed-form Hessian and again when
         # its trials were accepted on |V| below the energy's resolution; all
         # four when the kernel took the sum form, and the three descent
-        # solves when the line search started at the 1-d Newton step.  Each
-        # solve takes the branches named in golden_solves
+        # solves when the line search started at the 1-d Newton step;
+        # newton_interior_3d when the Newton direction came from numpy's LU
+        # solve in place of LAPACK's Cholesky solve.  Each solve takes the
+        # branches named in golden_solves
         ctx, opts = golden_solves()[name]
         expected = json.loads(GOLDEN.read_text())[name]
         assert solve_record(sv.solve_center(ctx, opts)) == expected

@@ -198,6 +198,13 @@ class TestClosedFormG:
         with pytest.raises(DomainError):
             wt.eval_G(base, 0.7)
 
+    def test_e1_sum_literal(self):
+        # the log_damped tail constant, sum of E1(k ln 2) over k = 1..63
+        from scipy.special import exp1
+
+        terms = exp1(np.arange(1, 64) * math.log(2.0)).tolist()
+        assert wt._E1_LN2_SUM == math.fsum(terms)
+
     def test_no_quadrature_in_weights(self):
         # G is closed form on the hot path; quadrature belongs to the oracle
         source = inspect.getsource(wt)
